@@ -58,6 +58,12 @@ def _resolve_config(name, args) -> ScenarioConfig:
             raise ConfigError(f"override {ov!r} is not KEY=VALUE")
         key, _, value = ov.partition("=")
         cfg.apply_override(key, value)
+    # overrides bypass the schema, so check the result as a whole
+    cfg = ScenarioConfig.from_dict(cfg.to_dict())
+    try:
+        cfg.build_laws()
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"cannot build laws {cfg.laws!r}: {exc}") from exc
     return cfg
 
 

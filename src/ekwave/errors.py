@@ -29,6 +29,10 @@ class VacuumError(EkwaveError, RuntimeError):
     """Density (or |psi|^2) dropped below the admissible floor."""
 
 
+class RootSolveError(EkwaveError, RuntimeError):
+    """Bracketed root solve did not converge within its iteration cap."""
+
+
 class NormalFormError(EkwaveError, RuntimeError):
     """Fixed-point inversion of the normal form failed to contract."""
 

@@ -13,9 +13,8 @@ then the same for every admissible law.
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize
 
-from .errors import NormalizationError, VacuumError
+from .errors import NormalizationError, RootSolveError, VacuumError
 
 RHO_FLOOR = 1e-6
 RHO_CEIL = 1e6
@@ -149,7 +148,14 @@ class ConstitutiveLaws:
         return _gauss_primitive(lambda s: np.sqrt(self.K(s) / s), rho)
 
     def rho_of_l(self, l):
-        """Inverse of the primitive (l is strictly increasing in rho)."""
+        """Inverse of the primitive (l is strictly increasing in rho).
+
+        The quantum, constant and linear laws invert in closed form.  Other
+        laws bracket every point from one walk of probe densities per sign
+        of l and then run a vectorized bracketed Brent solve on all points
+        at once; the result is bit-identical to ``scipy.optimize.brentq``
+        called point by point on the same brackets.
+        """
         l = np.asarray(l, dtype=float)
         if self.kind == "quantum":
             return np.exp(l)
@@ -158,57 +164,126 @@ class ConstitutiveLaws:
         if self.kind == "linear":
             return 1.0 + l
         flat = l.ravel()
-        out = np.empty_like(flat)
-        cache = {}
-
-        def bracket(key):
-            # expand geometrically from rho = 1; stops early where K(rho)
-            # turns nonpositive (the law's admissible window ends there)
-            lo = hi = 1.0
-            factor = 2.0
-            while True:
-                nxt = hi * factor if key > 0 else lo / factor
-                if not (self.rho_floor <= nxt <= self.rho_ceil):
-                    raise VacuumError("primitive inversion left the admissible density window")
-                with np.errstate(invalid="ignore"):
-                    val = self.l_of_rho(np.asarray(nxt))
-                if not np.isfinite(val):
-                    # stepped past the edge of the admissible window
-                    # (K turned nonpositive); creep toward it instead
-                    factor = np.sqrt(factor)
-                    if factor - 1.0 < 1e-12:
-                        raise VacuumError("primitive value unreachable: capillarity "
-                                          "vanishes before the target density")
-                    continue
-                if key > 0:
-                    hi = nxt
-                    if val >= key:
-                        return lo, hi
-                    lo = hi
-                else:
-                    lo = nxt
-                    if val <= key:
-                        return lo, hi
-                    hi = lo
-
-        for i, li in enumerate(flat):
-            key = float(li)
-            if key not in cache:
-                if key == 0.0:
-                    cache[key] = 1.0
-                else:
-                    lo, hi = bracket(key)
-                    cache[key] = optimize.brentq(
-                        lambda r: float(self.l_of_rho(np.asarray(r))) - key, lo, hi,
-                    )
-            out[i] = cache[key]
+        lo, hi = np.ones_like(flat), np.ones_like(flat)
+        l_lo, l_hi = np.zeros_like(flat), np.zeros_like(flat)
+        up = flat > 0
+        down = ~up & (flat != 0)                # NaN walks down to the floor: VacuumError
+        for side, upward in ((up, True), (down, False)):
+            if not side.any():
+                continue
+            keys = flat[side]
+            rho, vals = self._bracket_probes(keys.max() if upward else keys.min(), upward)
+            # each key's bracket ends at the first probe that reaches it
+            sign = 1.0 if upward else -1.0
+            k = np.searchsorted(np.maximum.accumulate(sign * vals), sign * keys)
+            a, b = (k - 1, k) if upward else (k, k - 1)
+            lo[side], hi[side] = rho[a], rho[b]
+            l_lo[side], l_hi[side] = vals[a], vals[b]
+        out = np.ones_like(flat)                # l = 0 is rho = 1
+        solve = up | down
+        out[solve] = _brentq(self.l_of_rho, flat[solve], lo[solve], hi[solve],
+                             l_lo[solve], l_hi[solve])
         return out.reshape(l.shape)
+
+    def _bracket_probes(self, target, upward):
+        """Probe densities (from rho = 1) and their primitives, up to ``target``.
+
+        The walk doubles (or halves) rho and does not depend on the key it
+        serves, so one walk to the most extreme key brackets every key of
+        that sign.  It stops early where K(rho) turns nonpositive (the law's
+        admissible window ends there).
+        """
+        rho, vals = [1.0], [float(self.l_of_rho(np.asarray(1.0)))]
+        factor = 2.0
+        while not (vals[-1] >= target if upward else vals[-1] <= target):
+            nxt = rho[-1] * factor if upward else rho[-1] / factor
+            if not (self.rho_floor <= nxt <= self.rho_ceil):
+                raise VacuumError("primitive inversion left the admissible density window")
+            with np.errstate(invalid="ignore"):
+                val = float(self.l_of_rho(np.asarray(nxt)))
+            if not np.isfinite(val):
+                # stepped past the edge of the admissible window
+                # (K turned nonpositive); creep toward it instead
+                factor = np.sqrt(factor)
+                if factor - 1.0 < 1e-12:
+                    raise VacuumError("primitive value unreachable: capillarity "
+                                      "vanishes before the target density")
+                continue
+            rho.append(nxt)
+            vals.append(val)
+        return np.array(rho), np.array(vals)
 
     def G(self, rho):
         """Pressure potential int_1^rho (g(s) - g(1)) ds for the energy."""
         rho = np.asarray(rho, dtype=float)
         g1 = float(self.g(np.asarray(1.0)))
         return _gauss_primitive(lambda s: np.asarray(self.g(s)) - g1, rho)
+
+
+# scipy.optimize.brentq's defaults
+_BRENT_XTOL = 2e-12
+_BRENT_RTOL = 4 * np.finfo(float).eps
+_BRENT_MAXITER = 100
+
+
+def _brentq(fn, target, xa, xb, fa, fb):
+    """Roots of fn(x) = target on the brackets [xa, xb], elementwise.
+
+    A masked-array transcription of scipy's ``brentq`` (Brent 1973): the
+    same tolerances, iteration cap and interpolate/extrapolate/bisect
+    rules, applied to every bracket at once.  Points leave the active set
+    as they converge, so each gets the bits a scalar ``brentq`` call
+    returns.  ``fn`` acts elementwise, ``fa`` and ``fb`` are its values at
+    the bracket ends, and fn - target changes sign on every bracket.
+    """
+    idx = np.arange(target.size)
+    xpre, xcur = xa, xb
+    fpre, fcur = fa - target, fb - target
+    out = np.where(fpre == 0, xpre, xcur)    # final where a bracket end is the root
+    keep = (fpre != 0) & (fcur != 0)
+    idx, target, xpre, xcur, fpre, fcur = (a[keep] for a in (idx, target, xpre, xcur, fpre, fcur))
+    xblk, fblk = np.zeros_like(xcur), np.zeros_like(xcur)
+    spre, scur = np.zeros_like(xcur), np.zeros_like(xcur)
+    for _ in range(_BRENT_MAXITER):
+        new = (fpre != 0) & (fcur != 0) & (np.signbit(fpre) != np.signbit(fcur))
+        xblk = np.where(new, xpre, xblk)
+        fblk = np.where(new, fpre, fblk)
+        spre = np.where(new, xcur - xpre, spre)
+        scur = np.where(new, spre, scur)
+        swap = np.abs(fblk) < np.abs(fcur)
+        xpre, xcur, xblk = (np.where(swap, xcur, xpre), np.where(swap, xblk, xcur),
+                            np.where(swap, xcur, xblk))
+        fpre, fcur, fblk = (np.where(swap, fcur, fpre), np.where(swap, fblk, fcur),
+                            np.where(swap, fcur, fblk))
+
+        delta = (_BRENT_XTOL + _BRENT_RTOL * np.abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        done = (fcur == 0) | (np.abs(sbis) < delta)
+        if done.any():
+            out[idx[done]] = xcur[done]
+            left = ~done
+            (idx, target, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta,
+             sbis) = (a[left] for a in (idx, target, xpre, xcur, xblk, fpre, fcur,
+                                        fblk, spre, scur, delta, sbis))
+        if idx.size == 0:
+            return out
+
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            interpolated = -fcur * (xcur - xpre) / (fcur - fpre)
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            extrapolated = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+        stry = np.where(xpre == xblk, interpolated, extrapolated)
+        short = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
+                 & (2 * np.abs(stry) < np.minimum(np.abs(spre), 3 * np.abs(sbis) - delta)))
+        spre = np.where(short, scur, sbis)
+        scur = np.where(short, stry, sbis)
+
+        xpre, fpre = xcur, fcur
+        xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
+        fcur = fn(xcur) - target
+    raise RootSolveError(f"bracketed Brent solve did not converge in {_BRENT_MAXITER} "
+                         f"iterations at {idx.size} points")
 
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(48)

@@ -104,15 +104,18 @@ class ScenarioConfig:
             value = raw
         parts = key.split(".")
         target: Any = self
-        for p in parts[:-1]:
-            target = getattr(target, p) if isinstance(target, ScenarioConfig) else target[p]
-        leaf = parts[-1]
-        if isinstance(target, ScenarioConfig):
-            if not hasattr(target, leaf):
-                raise ConfigError(f"unknown override target {key!r}")
-            setattr(target, leaf, value)
-        else:
-            target[leaf] = value
+        try:
+            for p in parts[:-1]:
+                target = getattr(target, p) if isinstance(target, ScenarioConfig) else target[p]
+            leaf = parts[-1]
+            if isinstance(target, ScenarioConfig):
+                if not hasattr(target, leaf):
+                    raise ConfigError(f"unknown override target {key!r}")
+                setattr(target, leaf, value)
+            else:
+                target[leaf] = value
+        except (AttributeError, KeyError, TypeError, IndexError) as exc:
+            raise ConfigError(f"override path {key!r} does not exist: {exc}") from exc
 
     # -- realized objects -------------------------------------------------
     def build_grid(self) -> FourierGrid:

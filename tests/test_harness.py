@@ -226,6 +226,19 @@ def test_cli_config_error_exit_code(tmp_path):
     assert cli.main(["resonance", "--override", "notkeyvalue"]) == 2
 
 
+@pytest.mark.parametrize("overrides", [
+    ["solver.typo=1"],
+    ['laws.params={"K_coefs":[1,0.5]}', "laws.name=polynomial"],
+    ["grid.shape.x=1"],
+], ids=["unknown-key", "law-param-typo", "path-into-list"])
+def test_cli_bad_override_exit_code(overrides, capsys):
+    argv = ["simulate"]
+    for ov in overrides:
+        argv += ["--override", ov]
+    assert cli.main(argv) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_cli_override_and_out(tmp_path, capsys):
     code = cli.main(["resonance", "--out", str(tmp_path),
                      "--override", "params.eta=0.02"])

@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import optimize
 
-from ekwave.errors import NormalizationError, VacuumError
+from ekwave import laws as laws_module
+from ekwave.errors import NormalizationError, RootSolveError, VacuumError
 from ekwave.grid import Field, FourierGrid
 from ekwave.laws import ConstitutiveLaws
 from ekwave.spectral import gradient, proj_p_spec
@@ -62,6 +66,86 @@ def test_primitive_monotone_and_invertible():
         assert np.all(np.diff(l) > 0)
         back = laws.rho_of_l(l)
         assert np.max(np.abs(back - rho)) <= 1e-9 * np.max(rho)
+
+
+def rho_of_l_per_point(laws, l):
+    """Reference inverse: a bracket search and one scalar brentq per point."""
+    flat = np.asarray(l, dtype=float).ravel()
+    out = np.ones_like(flat)
+
+    def bracket(key):
+        lo = hi = 1.0
+        factor = 2.0
+        while True:
+            nxt = hi * factor if key > 0 else lo / factor
+            if not (laws.rho_floor <= nxt <= laws.rho_ceil):
+                raise VacuumError("primitive inversion left the admissible density window")
+            with np.errstate(invalid="ignore"):
+                val = laws.l_of_rho(np.asarray(nxt))
+            if not np.isfinite(val):
+                factor = np.sqrt(factor)
+                if factor - 1.0 < 1e-12:
+                    raise VacuumError("primitive value unreachable: capillarity "
+                                      "vanishes before the target density")
+                continue
+            if key > 0:
+                hi = nxt
+                if val >= key:
+                    return lo, hi
+                lo = hi
+            else:
+                lo = nxt
+                if val <= key:
+                    return lo, hi
+                hi = lo
+
+    for i, li in enumerate(flat):
+        key = float(li)
+        if key != 0.0:
+            lo, hi = bracket(key)
+            out[i] = optimize.brentq(lambda r: float(laws.l_of_rho(np.asarray(r))) - key,
+                                     lo, hi)
+    return out.reshape(np.shape(l))
+
+
+@pytest.mark.parametrize("coeffs", [[1.0, 0.5], [1.0, 0.3, -0.1]])
+def test_rho_of_l_bit_identical_to_per_point_brentq(coeffs):
+    laws = ConstitutiveLaws.polynomial(coeffs)
+    near_zero = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e-15, -1e-15, 1e-12, -1e-12]
+    on_probes = laws.l_of_rho(np.array([2.0, 0.5]))     # roots at a bracket end
+    l = np.concatenate([np.random.default_rng(8).uniform(-1.0, 1.0, 190), near_zero,
+                        on_probes])
+    l = l.reshape(2, 101)
+    back = laws.rho_of_l(l)
+    assert back.shape == l.shape
+    assert np.array_equal(back, rho_of_l_per_point(laws, l))
+
+
+ALL_LAWS = (QUANTUM, ConstitutiveLaws.constant(), ConstitutiveLaws.linear(),
+            ConstitutiveLaws.polynomial([1.0, 0.5]),
+            ConstitutiveLaws.polynomial([1.0, 0.3, -0.1]))
+
+
+@settings(deadline=None, max_examples=25)
+@given(l=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=16))
+def test_rho_of_l_round_trip(l):
+    l = np.array(l)
+    for laws in ALL_LAWS:
+        assert np.max(np.abs(laws.l_of_rho(laws.rho_of_l(l)) - l)) <= 5e-12
+
+
+def test_rho_of_l_vacuum_on_both_branches():
+    laws = ConstitutiveLaws.polynomial([1.0, 2.0])      # K = 2 rho - 1 vanishes at rho = 1/2
+    with pytest.raises(VacuumError, match="capillarity vanishes"):
+        laws.rho_of_l(np.array([0.1, -5.0]))
+    with pytest.raises(VacuumError, match="left the admissible density window"):
+        laws.rho_of_l(np.array([-0.1, 1e7]))
+
+
+def test_rho_of_l_iteration_cap_raises(monkeypatch):
+    monkeypatch.setattr(laws_module, "_BRENT_MAXITER", 2)
+    with pytest.raises(RootSolveError):
+        ConstitutiveLaws.polynomial([1.0, 0.5]).rho_of_l(np.array([0.3, -0.3]))
 
 
 def test_normal_form_strengths():

@@ -6,12 +6,13 @@ import pytest
 from ekwave.errors import ComponentError, StabilityError
 from ekwave.grid import Field, FourierGrid
 from ekwave.laws import ConstitutiveLaws
-from ekwave import gp, solver, states
+from ekwave import gp, scenarios, solver, states
 from ekwave.diagnostics import hamiltonian, mass
 from ekwave.initial_data import InitialDataSpec, generate_initial_data
 from ekwave.spectral import grad_spec, proj_p_spec, symbol_h
 
 QUANTUM = ConstitutiveLaws.quantum()
+POLYNOMIAL = ConstitutiveLaws.polynomial([1.0, 0.5])     # K = 1 + (rho - 1)/2
 
 
 def small_state(grid, amplitude, seed=42, solenoidal=0.0):
@@ -115,6 +116,30 @@ def test_energy_drift_shrinks_at_order_two():
         drifts.append(abs(hamiltonian(sf, QUANTUM) - H0) / abs(H0))
     orders = np.log2(np.array(drifts[:-1]) / np.array(drifts[1:]))
     assert np.all(orders >= 1.7) and np.all(orders <= 2.3)
+
+
+def test_polynomial_law_cubic_residual_slope():
+    # the general-K case: the normal form must cancel at strength -0.25 too
+    assert abs(POLYNOMIAL.strength + 0.25) <= 1e-10
+    cfg = scenarios.default_config("normalform")
+    cfg.grid = {"shape": [32, 32], "lengths": [2 * np.pi, 2 * np.pi]}
+    cfg.laws = {"name": "polynomial", "params": {"K_coeffs": [1.0, 0.5]}}
+    report = scenarios.run_scenario(cfg)
+    assert not report.errors
+    assert abs(report.fitted["slope"] - 3.0) <= 0.3
+
+
+def test_polynomial_law_energy_drift_shrinks_at_order_two():
+    g = FourierGrid((32, 32), (2 * np.pi, 2 * np.pi))
+    s0 = generate_initial_data(InitialDataSpec(amplitude=0.05), g, POLYNOMIAL, 42)
+    H0 = hamiltonian(s0, POLYNOMIAL)
+    drifts = []
+    for dt in (0.02, 0.01):
+        traj = solver.simulate(s0, solver.SolverConfig(dt=dt, t_end=0.2), POLYNOMIAL)
+        assert traj.termination == "reached_t_end"
+        sf = states.from_extended(traj.final_state, POLYNOMIAL)
+        drifts.append(abs(hamiltonian(sf, POLYNOMIAL) - H0) / abs(H0))
+    assert 1.7 <= np.log2(drifts[0] / drifts[1]) <= 2.3
 
 
 def test_mass_conserved_to_integrator_order():
