@@ -20,12 +20,8 @@ from .scenarios import (
 
 
 def _add_common(parser):
-    parser.add_argument("--config", help="JSON config file (defaults built in)")
     parser.add_argument("--seed", type=int, help="override the RNG seed")
     parser.add_argument("--out", help="output directory for reports/CSV/snapshots")
-    parser.add_argument("--override", action="append", default=[],
-                        metavar="KEY=VALUE",
-                        help="dotted-path config override, repeatable")
 
 
 def build_parser():
@@ -36,7 +32,12 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for name in SCENARIOS:
         p = sub.add_parser(name, help=f"run the {name} scenario")
+        p.add_argument("--config", help="JSON config file (defaults built in)")
         _add_common(p)
+        p.add_argument("--override", action="append", default=[],
+                       metavar="KEY=VALUE",
+                       help="dotted-path config override, repeatable")
+    # verify always runs the default configs: it takes no --config or --override
     v = sub.add_parser("verify", help="run every scenario with defaults")
     _add_common(v)
     return parser
@@ -58,12 +59,16 @@ def _resolve_config(name, args) -> ScenarioConfig:
             raise ConfigError(f"override {ov!r} is not KEY=VALUE")
         key, _, value = ov.partition("=")
         cfg.apply_override(key, value)
-    # overrides bypass the schema, so check the result as a whole
+    # overrides bypass the schema, so check the result as a whole and
+    # build every object the values configure
     cfg = ScenarioConfig.from_dict(cfg.to_dict())
     try:
+        cfg.build_grid()
         cfg.build_laws()
+        cfg.build_solver()
+        cfg.build_initial_spec()
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"cannot build laws {cfg.laws!r}: {exc}") from exc
+        raise ConfigError(f"invalid config values: {exc}") from exc
     return cfg
 
 

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import DerivativeOrderError, GaugeError, ZeroModeError
 from .grid import Field, FourierGrid
 from .laws import ConstitutiveLaws, _gauss_primitive
-from .spectral import grad_spec, group_velocity, proj_q_spec, symbol_h, symbol_u
+from .spectral import grad_spec, group_velocity, proj_q_spec, symbol_h
 from .states import EKState, ExtendedState
 
 

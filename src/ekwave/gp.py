@@ -16,7 +16,7 @@ again, and the zero re-forms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 

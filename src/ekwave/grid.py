@@ -13,8 +13,6 @@ import numpy as np
 
 from .errors import ComponentError, GridError
 
-_ROUNDTRIP_TOL = 1e-12
-
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
@@ -123,14 +121,6 @@ class FourierGrid:
     def meshgrid(self):
         """Physical coordinates, shape ``(dim, *shape)``."""
         return np.stack(np.meshgrid(*self.axes, indexing="ij"))
-
-    def dealias(self, values):
-        """Apply the 2/3-rule spectral truncation to a physical array."""
-        spec = self.fft(values) * self.dealias_mask
-        out = self.ifft(spec)
-        if np.isrealobj(values):
-            out = out.real
-        return out
 
     def refine(self, values, factor=2):
         """Spectrally interpolate onto a ``factor``-times finer grid."""
@@ -241,10 +231,6 @@ class Field:
         return Field.scalar(self.grid, self.data[i])
 
     # -- small conveniences --------------------------------------------
-    def map(self, fn):
-        """New field with ``fn`` applied to the sample array."""
-        return Field(self.grid, fn(self.data))
-
     def __add__(self, other):
         return Field(self.grid, self.data + other.data)
 
@@ -265,9 +251,3 @@ class Field:
     def mean(self):
         """Per-component spatial mean."""
         return self.data.mean(axis=tuple(range(-self.grid.dim, 0)))
-
-    def roundtrip_error(self):
-        """Relative error of a physical -> spectral -> physical round trip."""
-        back = self.grid.ifft(self.spectral, real=self.is_real)
-        scale = max(float(np.max(np.abs(self.data))), 1e-300)
-        return float(np.max(np.abs(back - self.data)) / scale)

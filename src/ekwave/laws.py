@@ -137,15 +137,25 @@ class ConstitutiveLaws:
         return np.sqrt(self.K(rho) / rho)
 
     def l_of_rho(self, rho):
-        """The primitive int_1^rho sqrt(K/r) dr, elementwise."""
+        """The primitive int_1^rho sqrt(K/r) dr, elementwise.
+
+        Raises VacuumError where it is not finite: K turns negative inside
+        [1, rho], or rho is not a positive density.
+        """
         rho = np.asarray(rho, dtype=float)
-        if self.kind == "quantum":
-            return np.log(rho)
-        if self.kind == "constant":
-            return 2.0 * np.sqrt(self.K0) * (np.sqrt(rho) - 1.0)
-        if self.kind == "linear":
-            return rho - 1.0
-        return _gauss_primitive(lambda s: np.sqrt(self.K(s) / s), rho)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            if self.kind == "quantum":
+                l = np.log(rho)
+            elif self.kind == "constant":
+                l = 2.0 * np.sqrt(self.K0) * (np.sqrt(rho) - 1.0)
+            elif self.kind == "linear":
+                l = rho - 1.0
+            else:
+                l = _gauss_primitive(lambda s: np.sqrt(self.K(s) / s), rho)
+        if not np.all(np.isfinite(l)):
+            raise VacuumError("capillarity primitive is not finite: K(rho) turns "
+                              "negative inside [1, rho] or rho is not positive")
+        return l
 
     def rho_of_l(self, l):
         """Inverse of the primitive (l is strictly increasing in rho).
@@ -199,9 +209,9 @@ class ConstitutiveLaws:
             nxt = rho[-1] * factor if upward else rho[-1] / factor
             if not (self.rho_floor <= nxt <= self.rho_ceil):
                 raise VacuumError("primitive inversion left the admissible density window")
-            with np.errstate(invalid="ignore"):
+            try:
                 val = float(self.l_of_rho(np.asarray(nxt)))
-            if not np.isfinite(val):
+            except VacuumError:
                 # stepped past the edge of the admissible window
                 # (K turned nonpositive); creep toward it instead
                 factor = np.sqrt(factor)

@@ -35,9 +35,8 @@ _GRID_KEYS = {"shape", "lengths"}
 _LAWS_KEYS = {"name", "params"}
 _DATA_KEYS = {"kind", "amplitude", "solenoidal", "band_limit", "norm_k",
               "norm_p", "rho_mean"}
-_SOLVER_KEYS = {"dt", "t_end", "scheme", "dealias", "rho_min_stop",
-                "criterion_cap", "norm_blow_cap", "snapshot_stride",
-                "check_stability"}
+_SOLVER_KEYS = {"dt", "t_end", "dealias", "rho_min_stop", "criterion_cap",
+                "snapshot_stride", "check_stability"}
 _TOP_KEYS = {"schema_version", "scenario", "grid", "laws", "initial_data",
              "solver", "seed", "params"}
 
@@ -74,8 +73,11 @@ class ScenarioConfig:
         _check_keys(data, _DATA_KEYS, "initial_data")
         solver_cfg = dict(d.get("solver", {}))
         _check_keys(solver_cfg, _SOLVER_KEYS, "solver")
+        seed = d.get("seed", 0)
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+            raise ConfigError(f"seed must be an integer, got {seed!r}")
         return cls(scenario=scenario, grid=grid, laws=laws, initial_data=data,
-                   solver=solver_cfg, seed=int(d.get("seed", 0)),
+                   solver=solver_cfg, seed=int(seed),
                    params=dict(d.get("params", {})))
 
     def to_dict(self) -> Dict[str, Any]:

@@ -1,19 +1,20 @@
 """Time integration of the capillary-fluid dynamics.
 
-The working unknowns are the complex dispersive variable
-``psi = Q u + i U^{-1} w``, the solenoidal velocity ``P u`` and the mean
-of ``l`` -- together a lossless encoding of the extended state.  The
-default scheme is Strang splitting: the linear half-waves ``e^{i dt H/2}``
-are applied exactly in Fourier space, and the remaining quadratic
-tendencies are advanced with classical RK4.  A plain RK4 scheme on the
-full right-hand side and a primitive-variable (rho, u) integrator
-(one-dimensional only) are kept as cross-checks.
+The working unknowns are the encoded spectra of :mod:`ekwave.states`:
+the complex dispersive variable ``psi = Q u + i U^{-1} w``, the solenoidal
+velocity ``P u`` and the mean of ``l``.  The scheme is Strang splitting:
+the linear half-waves ``e^{i dt H/2}`` are applied exactly in Fourier
+space, and the remaining quadratic tendencies are advanced with classical
+RK4.  One driver steps every run: ``simulate`` and
+``lifespan_experiment`` differ only in the monitor's sample stride, the
+states they keep and an optional extra stop rule.  The primitive-variable
+(rho, u) right-hand side (one-dimensional only) is kept as a cross-check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from typing import List, Optional, Tuple
+from typing import List
 
 import numpy as np
 
@@ -23,14 +24,12 @@ from .laws import ConstitutiveLaws
 from .spectral import (
     div_spec,
     grad_spec,
-    inverse_grad_spec,
     proj_p_spec,
     proj_q_spec,
     symbol_h,
-    symbol_u,
     symbol_u_inv,
 )
-from .states import EKState, ExtendedState, from_extended, to_extended
+from .states import EKState, ExtendedState, decode, encode, to_extended, unpack
 
 RK4_STABILITY = 2.8
 
@@ -39,23 +38,21 @@ RK4_STABILITY = 2.8
 class SolverConfig:
     dt: float
     t_end: float
-    scheme: str = "strang"
     dealias: bool = True
     rho_min_stop: float = 1e-3
     criterion_cap: float = 1e3
-    norm_blow_cap: float = 1e6
     snapshot_stride: int = 100
     check_stability: bool = True
 
     def __post_init__(self):
         if self.dt < 0:
             raise StabilityError("dt must be nonnegative")
-        if self.scheme not in ("strang", "rk4"):
-            raise StabilityError(f"unknown scheme {self.scheme!r}")
 
 
 @dataclass
 class Trajectory:
+    """Recorded times with their states and monitor samples (no states for a lifespan run)."""
+
     times: List[float] = dataclass_field(default_factory=list)
     states: List[ExtendedState] = dataclass_field(default_factory=list)
     termination: str = ""
@@ -78,19 +75,12 @@ class Trajectory:
 class _Work:
     """Physical-space reconstruction of one (psi, Pu, lmean) triple."""
 
-    __slots__ = ("qu", "qu_spec", "w", "w_spec", "l", "rho", "a", "gp",
-                 "pu", "u", "divqu")
+    __slots__ = ("qu", "qu_spec", "w", "w_spec", "rho", "a", "gp", "pu", "u", "divqu")
 
     def __init__(self, grid, laws, psi_spec, pu_spec, lmean):
-        psi_phys = grid.ifft(psi_spec)
-        self.qu = psi_phys.real.copy()
-        self.qu_spec = grid.fft(self.qu)
-        self.w_spec = grid.fft(psi_phys.imag) * symbol_u(grid)
+        self.qu, self.qu_spec, self.w_spec, l_spec = unpack(grid, psi_spec, lmean)
         self.w = grid.ifft(self.w_spec, real=True)
-        l_spec = inverse_grad_spec(grid, self.w_spec)
-        l_spec[(0,) * grid.dim] = lmean * grid.npoints
-        self.l = grid.ifft(l_spec, real=True)
-        self.rho = laws.rho_of_l(self.l)
+        self.rho = laws.rho_of_l(grid.ifft(l_spec, real=True))
         laws.check_density(self.rho, "tendency evaluation")
         self.a = laws.a(self.rho)
         # pressure slope with respect to the potential variable:
@@ -107,14 +97,16 @@ def _dealias_fft(grid, phys, on):
 
 
 def nonlinear_tendencies(grid: FourierGrid, laws: ConstitutiveLaws,
-                         psi_spec, pu_spec, lmean, dealias=True):
+                         psi_spec, pu_spec, lmean, dealias=True, work=None):
     """Quadratic-and-higher tendencies of (psi, Pu, mean l).
 
     The linear half-wave part ``i H psi`` is excluded; it is applied
     exactly by the splitting.  Returns ``(dpsi, dPu, dlmean)`` with the
-    field tendencies in spectral form.
+    field tendencies in spectral form.  ``work`` is the triple's
+    :class:`_Work`, when the caller has built it already.
     """
-    work = _Work(grid, laws, psi_spec, pu_spec, lmean)
+    if work is None:
+        work = _Work(grid, laws, psi_spec, pu_spec, lmean)
     u_dot_w = np.sum(work.u * work.w, axis=0)
 
     # potential equation: full dl = -u.w - a div(Qu); linear part -div(Qu)
@@ -154,16 +146,11 @@ def rhs_extended(s: ExtendedState, laws: ConstitutiveLaws, dealias=True):
     """
     grid = s.grid
     psi_spec, pu_spec, lmean = encode(s)
-    dpsi, dpu, _ = nonlinear_tendencies(grid, laws, psi_spec, pu_spec, lmean, dealias)
-
     work = _Work(grid, laws, psi_spec, pu_spec, lmean)
+    dpsi, dpu, _ = nonlinear_tendencies(grid, laws, psi_spec, pu_spec, lmean, dealias, work)
+
     dl_full = -np.sum(work.u * work.w, axis=0) - work.a * work.divqu
-    if dealias:
-        dl_spec = _dealias_fft(grid, dl_full, True)
-        dl_full = grid.ifft(dl_spec, real=True)
-    else:
-        dl_spec = grid.fft(dl_full)
-    dw_spec = grad_spec(grid, dl_spec[0] if dl_spec.ndim > grid.dim else dl_spec)
+    dl_spec = _dealias_fft(grid, dl_full, dealias)
 
     # full Qu tendency: add the linear (Laplacian - 2) w part to the
     # nonlinear piece carried in Re(dpsi)
@@ -171,9 +158,8 @@ def rhs_extended(s: ExtendedState, laws: ConstitutiveLaws, dealias=True):
     dqu_spec = grid.fft(grid.ifft(dpsi).real)
     du_spec = dqu_spec + lin_qu + dpu
 
-    dl = Field.from_spectral(grid, dl_spec if dl_spec.ndim > grid.dim else dl_spec[None],
-                             real=True)
-    dw = Field.from_spectral(grid, dw_spec, real=True)
+    dl = Field.from_spectral(grid, dl_spec[None], real=True)
+    dw = Field.from_spectral(grid, grad_spec(grid, dl_spec), real=True)
     du = Field.from_spectral(grid, du_spec, real=True)
     return dl, dw, du
 
@@ -186,40 +172,14 @@ def rho_tendency(s: EKState):
 
 
 # ---------------------------------------------------------------------------
-# encoding between ExtendedState and the solver unknowns
-# ---------------------------------------------------------------------------
-
-def encode(s: ExtendedState):
-    grid = s.grid
-    u_spec = s.u.spectral
-    qu_spec = proj_q_spec(grid, u_spec)
-    pu_spec = proj_p_spec(grid, u_spec)
-    psi_spec = qu_spec + 1j * symbol_u_inv(grid) * s.w.spectral
-    return psi_spec, pu_spec, float(s.l.mean()[0])
-
-
-def decode(grid, psi_spec, pu_spec, lmean, time):
-    psi_phys = grid.ifft(psi_spec)
-    qu_spec = proj_q_spec(grid, grid.fft(psi_phys.real))
-    w_spec = proj_q_spec(grid, grid.fft(psi_phys.imag) * symbol_u(grid))
-    l_spec = inverse_grad_spec(grid, w_spec)
-    l_spec[(0,) * grid.dim] = lmean * grid.npoints
-    l = Field.from_spectral(grid, l_spec[None], real=True)
-    w = Field.from_spectral(grid, grad_spec(grid, l_spec), real=True)
-    u = Field.from_spectral(grid, proj_p_spec(grid, pu_spec) + qu_spec, real=True)
-    return ExtendedState(l=l, w=w, u=u, time=time)
-
-
-# ---------------------------------------------------------------------------
 # stepping
 # ---------------------------------------------------------------------------
 
-def stability_bound(s: ExtendedState, laws: ConstitutiveLaws, scheme="strang"):
+def stability_bound(s: ExtendedState, laws: ConstitutiveLaws):
     """Heuristic admissible time step for the RK4 substeps.
 
     The advective rate is ``max|u| k_max``; the capillary coefficient
-    deviation contributes ``max|a - 1| k_max^2``; a plain RK4 scheme must
-    additionally resolve the full dispersion rate ``max H``.
+    deviation contributes ``max|a - 1| k_max^2``.
     """
     grid = s.grid
     kmax = float(np.max(grid.k_magnitude[grid.dealias_mask]))
@@ -230,20 +190,27 @@ def stability_bound(s: ExtendedState, laws: ConstitutiveLaws, scheme="strang"):
             + float(np.max(np.abs(a - 1.0))) * kmax**2
             + float(np.max(np.abs(2.0 - gp)))
             + 1e-12)
-    if scheme == "rk4":
-        rate += kmax * np.sqrt(2.0 + kmax**2)
     return RK4_STABILITY / rate
 
 
-def _rk4(grid, laws, psi, pu, lmean, dt, dealias, include_linear=False):
-    h = symbol_h(grid) if include_linear else None
+def _check_dt(s: ExtendedState, cfg: SolverConfig, laws: ConstitutiveLaws):
+    if cfg.check_stability and cfg.dt > 0:
+        bound = stability_bound(s, laws)
+        if cfg.dt > bound:
+            raise StabilityError(f"dt = {cfg.dt:.3e} exceeds estimated bound {bound:.3e}")
+
+
+def step_encoded(grid, laws, cfg, psi, pu, lmean):
+    """One Strang step: exact half-wave, RK4 on the nonlinear tendencies, half-wave."""
+    dt = cfg.dt
+    if dt == 0.0:
+        return psi, pu, lmean
 
     def f(p, q, m):
-        dp, dq, dm = nonlinear_tendencies(grid, laws, p, q, m, dealias)
-        if include_linear:
-            dp = dp + 1j * h * p
-        return dp, dq, dm
+        return nonlinear_tendencies(grid, laws, p, q, m, cfg.dealias)
 
+    half = np.exp(1j * (dt / 2.0) * symbol_h(grid))
+    psi = psi * half
     k1 = f(psi, pu, lmean)
     k2 = f(psi + 0.5 * dt * k1[0], pu + 0.5 * dt * k1[1], lmean + 0.5 * dt * k1[2])
     k3 = f(psi + 0.5 * dt * k2[0], pu + 0.5 * dt * k2[1], lmean + 0.5 * dt * k2[2])
@@ -251,21 +218,7 @@ def _rk4(grid, laws, psi, pu, lmean, dt, dealias, include_linear=False):
     psi = psi + (dt / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
     pu = pu + (dt / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
     lmean = lmean + (dt / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-    return psi, pu, lmean
-
-
-def step_encoded(grid, laws, cfg, psi, pu, lmean):
-    dt = cfg.dt
-    if dt == 0.0:
-        return psi, pu, lmean
-    if cfg.scheme == "strang":
-        half = np.exp(1j * (dt / 2.0) * symbol_h(grid))
-        psi = psi * half
-        psi, pu, lmean = _rk4(grid, laws, psi, pu, lmean, dt, cfg.dealias)
-        psi = psi * half
-    else:
-        psi, pu, lmean = _rk4(grid, laws, psi, pu, lmean, dt, cfg.dealias,
-                              include_linear=True)
+    psi = psi * half
     # enforce the representation invariants: Re psi potential, Im psi
     # potential, Pu solenoidal
     psi_phys = grid.ifft(psi)
@@ -279,14 +232,75 @@ def step_encoded(grid, laws, cfg, psi, pu, lmean):
 
 def step(s: ExtendedState, cfg: SolverConfig, laws: ConstitutiveLaws) -> ExtendedState:
     """Advance one time step, returning a valid extended state."""
-    grid = s.grid
-    if cfg.check_stability and cfg.dt > 0:
-        bound = stability_bound(s, laws, cfg.scheme)
-        if cfg.dt > bound:
-            raise StabilityError(f"dt = {cfg.dt:.3e} exceeds estimated bound {bound:.3e}")
-    psi, pu, lmean = encode(s)
-    psi, pu, lmean = step_encoded(grid, laws, cfg, psi, pu, lmean)
-    return decode(grid, psi, pu, lmean, s.time + cfg.dt)
+    _check_dt(s, cfg, laws)
+    psi, pu, lmean = step_encoded(s.grid, laws, cfg, *encode(s))
+    return decode(s.grid, psi, pu, lmean, s.time + cfg.dt)
+
+
+def _monitor(grid, laws, psi, pu, lmean):
+    """``(min rho, max|lap rho| + max|grad u|)`` of an encoded state."""
+    _, qu_spec, _, l_spec = unpack(grid, psi, lmean)
+    rho = laws.rho_of_l(grid.ifft(l_spec, real=True))
+    lap_rho = grid.ifft(-grid.k_squared * grid.fft(rho), real=True)
+    grad_u = grid.ifft(np.stack([grad_spec(grid, c) for c in pu + qu_spec]), real=True)
+    return float(np.min(rho)), float(np.max(np.abs(lap_rho))) + float(np.max(np.abs(grad_u)))
+
+
+def _drive(ext, cfg, laws, t_end, sample_stride=1, keep_stride=None, stop=None) -> Trajectory:
+    """Step ``ext`` to ``t_end`` under the monitor and the stop rules.
+
+    The monitor samples the state at t0, every ``sample_stride`` steps and
+    after the last step.  The continuation criterion is the trapezoid
+    integral of its rate over the elapsed time.  At each sample after t0
+    the stop rules are tried in turn: vacuum (``rho_min_stop``), the
+    criterion cap, then ``stop(psi, pu, lmean)``, which returns a
+    termination reason or None.  A step that fails ends the run as
+    ``non_finite`` before them; a run none of them ends reaches ``t_end``.
+    The time and the latest monitor sample are recorded at t0, every
+    ``keep_stride`` steps and where the run ends, with the decoded state
+    unless ``keep_stride`` is None.
+    """
+    grid = ext.grid
+    psi, pu, lmean = encode(ext)
+    nsteps = int(round((t_end - ext.time) / cfg.dt)) if cfg.dt > 0 else 0
+    traj = Trajectory()
+    criterion = 0.0
+    min_rho, rate = _monitor(grid, laws, psi, pu, lmean)
+
+    def record(i):
+        t = ext.time + i * cfg.dt
+        if traj.times and traj.times[-1] == t:
+            return
+        traj.times.append(t)
+        if keep_stride is not None:
+            traj.states.append(decode(grid, psi, pu, lmean, t))
+        traj.min_rho_history.append(min_rho)
+        traj.criterion_history.append(criterion)
+
+    record(0)
+    i = sampled = 0
+    reason = "vacuum" if min_rho <= cfg.rho_min_stop else None
+    while reason is None and i < nsteps:
+        try:
+            psi, pu, lmean = step_encoded(grid, laws, cfg, psi, pu, lmean)
+        except (FloatingPointError, VacuumError):
+            reason = "non_finite"
+        else:
+            i += 1
+            if i % sample_stride == 0 or i == nsteps:
+                min_rho, new_rate = _monitor(grid, laws, psi, pu, lmean)
+                criterion += 0.5 * (rate + new_rate) * (i - sampled) * cfg.dt
+                rate, sampled = new_rate, i
+                if min_rho <= cfg.rho_min_stop:
+                    reason = "vacuum"
+                elif criterion >= cfg.criterion_cap:
+                    reason = "criterion_cap"
+                elif stop is not None:
+                    reason = stop(psi, pu, lmean)
+        if reason or i == nsteps or (keep_stride and i % keep_stride == 0):
+            record(i)
+    traj.termination = reason or "reached_t_end"
+    return traj
 
 
 def simulate(s0: EKState, cfg: SolverConfig, laws: ConstitutiveLaws) -> Trajectory:
@@ -294,78 +308,13 @@ def simulate(s0: EKState, cfg: SolverConfig, laws: ConstitutiveLaws) -> Trajecto
 
     The monitors implement the two continuation conditions: the running
     minimum of rho against ``rho_min_stop`` and the time integral of
-    ``max|lap rho| + max|grad u|`` against ``criterion_cap``.
+    ``max|lap rho| + max|grad u|`` against ``criterion_cap``.  Both are
+    checked after every step; states are kept every ``snapshot_stride``
+    steps and where the run ends.
     """
-    grid = s0.grid
     ext = to_extended(s0, laws)
-    if cfg.check_stability and cfg.dt > 0:
-        bound = stability_bound(ext, laws, cfg.scheme)
-        if cfg.dt > bound:
-            raise StabilityError(f"dt = {cfg.dt:.3e} exceeds estimated bound {bound:.3e}")
-    psi, pu, lmean = encode(ext)
-    traj = Trajectory()
-    t = ext.time
-    criterion = 0.0
-    nsteps = int(round((cfg.t_end - t) / cfg.dt)) if cfg.dt > 0 else 0
-
-    def record(i):
-        state = decode(grid, psi, pu, lmean, t)
-        traj.times.append(t)
-        traj.states.append(state)
-
-    def monitor_values():
-        w_spec = grid.fft(grid.ifft(psi).imag) * symbol_u(grid)
-        l_spec = inverse_grad_spec(grid, w_spec)
-        l_spec[(0,) * grid.dim] = lmean * grid.npoints
-        lphys = grid.ifft(l_spec, real=True)
-        rho = laws.rho_of_l(lphys)
-        lap_rho = grid.ifft(-grid.k_squared * grid.fft(rho), real=True)
-        u_spec = proj_p_spec(grid, pu) + proj_q_spec(grid, grid.fft(grid.ifft(psi).real))
-        gmax = 0.0
-        for j in range(grid.dim):
-            gu = grid.ifft(grad_spec(grid, u_spec[j]), real=True)
-            gmax = max(gmax, float(np.max(np.abs(gu))))
-        return float(np.min(rho)), float(np.max(np.abs(lap_rho))) + gmax
-
-    record(0)
-    min_rho, rate = monitor_values()
-    traj.min_rho_history.append(min_rho)
-    traj.criterion_history.append(criterion)
-    if min_rho <= cfg.rho_min_stop:
-        traj.termination = "vacuum"
-        return traj
-
-    for i in range(1, nsteps + 1):
-        try:
-            psi, pu, lmean = step_encoded(grid, laws, cfg, psi, pu, lmean)
-        except (FloatingPointError, VacuumError):
-            traj.termination = "non_finite"
-            record(i)
-            return traj
-        t += cfg.dt
-        min_rho, new_rate = monitor_values()
-        criterion += 0.5 * (rate + new_rate) * cfg.dt
-        rate = new_rate
-        if i % cfg.snapshot_stride == 0 or i == nsteps:
-            record(i)
-            traj.min_rho_history.append(min_rho)
-            traj.criterion_history.append(criterion)
-        if min_rho <= cfg.rho_min_stop:
-            if traj.times[-1] != t:
-                record(i)
-                traj.min_rho_history.append(min_rho)
-                traj.criterion_history.append(criterion)
-            traj.termination = "vacuum"
-            return traj
-        if criterion >= cfg.criterion_cap:
-            if traj.times[-1] != t:
-                record(i)
-                traj.min_rho_history.append(min_rho)
-                traj.criterion_history.append(criterion)
-            traj.termination = "criterion_cap"
-            return traj
-    traj.termination = "reached_t_end"
-    return traj
+    _check_dt(ext, cfg, laws)
+    return _drive(ext, cfg, laws, cfg.t_end, keep_stride=cfg.snapshot_stride)
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +375,8 @@ def lifespan_experiment(eps, delta_list, grid, laws, cfg, seed, T_max,
     The observation time is the first firing among: the transport-norm
     envelope (W^{envelope_k, envelope_p} norm of Pu exceeding
     ``envelope_C`` times its initial value; skipped when delta = 0), the
-    vacuum monitor and the continuation-criterion cap.  Runs reaching
-    ``T_max`` are censored.  Every delta reuses the same seed, so the
+    vacuum monitor and the continuation-criterion cap, all checked every
+    ``sample_stride`` steps.  Runs reaching ``T_max`` are censored.  Every delta reuses the same seed, so the
     sweep varies only the solenoidal amplitude.
     """
     from .diagnostics import NormSpec, norm as field_norm
@@ -438,53 +387,21 @@ def lifespan_experiment(eps, delta_list, grid, laws, cfg, seed, T_max,
     for delta in delta_list:
         ids = InitialDataSpec(amplitude=eps, solenoidal=float(delta),
                               band_limit=band_limit)
-        s0 = generate_initial_data(ids, grid, laws, seed)
-        ext = to_extended(s0, laws)
-        psi, pu, lmean = encode(ext)
-        pu_field = Field.from_spectral(grid, pu, real=True)
-        transport0 = field_norm(pu_field, nspec)
-        t = 0.0
-        criterion = 0.0
-        prev_rate = None
-        T_obs, censored, reason = float(T_max), True, "censored"
-        nsteps = int(round(T_max / cfg.dt))
-        for i in range(1, nsteps + 1):
-            try:
-                psi, pu, lmean = step_encoded(grid, laws, cfg, psi, pu, lmean)
-            except (FloatingPointError, VacuumError):
-                T_obs, censored, reason = t, False, "non_finite"
-                break
-            t = i * cfg.dt
-            if i % sample_stride and i != nsteps:
-                continue
-            w_spec = grid.fft(grid.ifft(psi).imag) * symbol_u(grid)
-            l_spec = inverse_grad_spec(grid, w_spec)
-            l_spec[(0,) * grid.dim] = lmean * grid.npoints
-            rho = laws.rho_of_l(grid.ifft(l_spec, real=True))
-            lap_rho = grid.ifft(-grid.k_squared * grid.fft(rho), real=True)
-            u_spec = proj_p_spec(grid, pu) + proj_q_spec(grid, grid.fft(grid.ifft(psi).real))
-            gmax = 0.0
-            for j in range(grid.dim):
-                gu = grid.ifft(grad_spec(grid, u_spec[j]), real=True)
-                gmax = max(gmax, float(np.max(np.abs(gu))))
-            rate = float(np.max(np.abs(lap_rho))) + gmax
-            if prev_rate is not None:
-                criterion += 0.5 * (prev_rate + rate) * cfg.dt * sample_stride
-            prev_rate = rate
-            if float(np.min(rho)) <= cfg.rho_min_stop:
-                T_obs, censored, reason = t, False, "vacuum"
-                break
-            if criterion >= cfg.criterion_cap:
-                T_obs, censored, reason = t, False, "criterion_cap"
-                break
-            if delta > 0:
-                transport = field_norm(Field.from_spectral(grid, pu, real=True), nspec)
-                if transport > envelope_C * transport0:
-                    T_obs, censored, reason = t, False, "envelope"
-                    break
-        rows.append({"delta": float(delta), "T_obs": float(T_obs),
-                     "censored": censored, "reason": reason,
-                     "product": float(T_obs) * float(delta)})
+        ext = to_extended(generate_initial_data(ids, grid, laws, seed), laws)
+        limit = envelope_C * field_norm(
+            Field.from_spectral(grid, proj_p_spec(grid, ext.u.spectral), real=True), nspec)
+
+        def envelope(psi, pu, lmean):
+            transport = field_norm(Field.from_spectral(grid, pu, real=True), nspec)
+            return "envelope" if transport > limit else None
+
+        traj = _drive(ext, cfg, laws, T_max, sample_stride,
+                      stop=envelope if delta > 0 else None)
+        censored = traj.termination == "reached_t_end"
+        T_obs = float(T_max) if censored else traj.final_time
+        rows.append({"delta": float(delta), "T_obs": T_obs, "censored": censored,
+                     "reason": "censored" if censored else traj.termination,
+                     "product": T_obs * float(delta)})
     return rows
 
 
@@ -522,21 +439,3 @@ def rhs_primitive(s: EKState, laws: ConstitutiveLaws, dealias=True):
     if dealias:
         du = grid.ifft(grid.fft(du) * grid.dealias_mask, real=True)
     return drho, du
-
-
-def step_primitive(s: EKState, dt: float, laws: ConstitutiveLaws, dealias=True) -> EKState:
-    """Classical RK4 step of the primitive system; conserves mass exactly."""
-    grid = s.rho.grid
-
-    def f(rho, u):
-        state = EKState(Field.scalar(grid, rho), Field.vector(grid, u[None]), s.time)
-        return rhs_primitive(state, laws, dealias)
-
-    rho, u = s.rho.values, s.u.data[0]
-    k1 = f(rho, u)
-    k2 = f(rho + 0.5 * dt * k1[0], u + 0.5 * dt * k1[1])
-    k3 = f(rho + 0.5 * dt * k2[0], u + 0.5 * dt * k2[1])
-    k4 = f(rho + dt * k3[0], u + dt * k3[1])
-    rho = rho + (dt / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-    u = u + (dt / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-    return EKState(Field.scalar(grid, rho), Field.vector(grid, u[None]), s.time + dt)

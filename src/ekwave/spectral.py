@@ -174,10 +174,6 @@ def apply_multiplier(f: Field, m: MultiplierSymbol) -> Field:
 
 # Named shorthands -----------------------------------------------------------
 
-def half_wave(f):
-    return apply_multiplier(f, MultiplierSymbol("H"))
-
-
 def u_operator(f):
     return apply_multiplier(f, MultiplierSymbol("U"))
 
@@ -192,10 +188,6 @@ def gradient(f):
 
 def divergence(f):
     return apply_multiplier(f, MultiplierSymbol("Div"))
-
-
-def laplacian(f):
-    return apply_multiplier(f, MultiplierSymbol("Laplacian"))
 
 
 def semigroup(f: Field, t: float) -> Field:
@@ -319,7 +311,6 @@ def bilinear_B_exact(f: Field, g: Field, strength: float) -> Field:
     mesh = np.meshgrid(*idx, indexing="ij")
     flat = [m.ravel() for m in mesh]
     k2_flat = grid.k_squared.ravel()
-    fflat = np.sum(fspec.reshape(fspec.shape[0], -1), axis=0) if fspec.shape[0] == 1 else None
 
     fmat = fspec.reshape(fspec.shape[0], -1)
     gmat = gspec.reshape(gspec.shape[0], -1)
@@ -337,7 +328,6 @@ def bilinear_B_exact(f: Field, g: Field, strength: float) -> Field:
             ib = tuple(int(fl[b]) for fl in flat)
             target = tuple((x + y) % n for x, y, n in zip(ia, ib, shape))
             out[target] += contrib[b]
-    phase = np.zeros(shape, dtype=complex)
     # synthesize on the physical grid
     result = np.zeros(shape, dtype=complex)
     for target in np.ndindex(*shape):

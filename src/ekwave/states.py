@@ -1,33 +1,37 @@
-"""State representations and the lossless conversions between them.
+"""State representations and the one codec between them.
 
 Three equivalent descriptions of the same flow are used:
 
 * ``EKState``: primitive density/velocity pair (rho, u);
 * ``ExtendedState``: (l, w, u) with ``w = grad l`` and ``l`` the
   capillarity primitive of rho;
-* ``DispersiveVariable``: complex ``psi = Q u + i U^{-1} w`` (plus the
-  untouched solenoidal part and the mean of l), optionally after the
-  quadratic change of unknown ``w -> w1``.
+* the encoded spectra ``(psi, Pu, mean l)`` with the complex dispersive
+  variable ``psi = Q u + i U^{-1} w``: the solver's unknowns.
+
+:func:`encode`, :func:`unpack` and :func:`decode` are the only places that
+map between (l, w, u) and psi; the solver, its monitor and the normal form
+all go through them.  :func:`normal_form` returns the encoded spectra with
+the quadratic change of unknown ``w -> w1`` applied inside psi.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import ComponentError, NormalFormError
-from .grid import Field
+from .grid import Field, FourierGrid
 from .laws import ConstitutiveLaws
 from .spectral import (
     bilinear_B,
     grad_spec,
+    helmholtz_split,
     inverse_grad_spec,
     proj_p_spec,
     proj_q_spec,
     symbol_u,
-    u_inverse,
+    symbol_u_inv,
 )
 
 GRADIENT_TOL = 1e-10
@@ -81,24 +85,14 @@ class ExtendedState:
 
 
 @dataclass
-class DispersiveVariable:
-    """psi = Q u + i U^{-1} w with the solenoidal part and mean(l) carried along.
+class NormalForm:
+    """Encoded spectra ``(psi, Pu, mean l)`` with w1 in place of w inside psi."""
 
-    ``psi_normal`` holds the transformed variable with ``w1`` in place of
-    ``w`` when the normal form has been applied; ``iterations`` records
-    fixed-point diagnostics of the inverse transform when relevant.
-    """
-
-    psi: Field
-    pu: Field
+    grid: FourierGrid
+    psi: np.ndarray
+    pu: np.ndarray
     lmean: float
     time: float = 0.0
-    psi_normal: Optional[Field] = None
-    iterations: int = 0
-
-    @property
-    def grid(self):
-        return self.psi.grid
 
 
 # ---------------------------------------------------------------------------
@@ -120,91 +114,69 @@ def from_extended(s: ExtendedState, laws: ConstitutiveLaws) -> EKState:
     return EKState(rho=rho, u=s.u, time=s.time)
 
 
-def split_velocity(s: ExtendedState):
-    """(Pu, Qu) as fields; mean velocity is carried by neither projector."""
+# ---------------------------------------------------------------------------
+# the codec: (l, w, u) <-> (psi, Pu, mean l)
+# ---------------------------------------------------------------------------
+
+def encode(s: ExtendedState):
+    """``(psi, Pu, mean l)`` of an extended state, as spectra, with psi = Qu + i U^{-1} w."""
     grid = s.grid
-    spec = s.u.spectral
-    qu = proj_q_spec(grid, spec)
-    pu = proj_p_spec(grid, spec)
-    return (Field.from_spectral(grid, pu, real=s.u.is_real),
-            Field.from_spectral(grid, qu, real=s.u.is_real))
+    u_spec = s.u.spectral
+    psi_spec = proj_q_spec(grid, u_spec) + 1j * symbol_u_inv(grid) * s.w.spectral
+    return psi_spec, proj_p_spec(grid, u_spec), float(s.l.mean()[0])
 
 
-def to_psi(s: ExtendedState) -> DispersiveVariable:
-    """Assemble the complex dispersive variable from an extended state."""
-    grid = s.grid
-    pu, qu = split_velocity(s)
-    uinv_w = u_inverse(s.w)
-    psi = Field(grid, qu.data + 1j * uinv_w.data)
-    return DispersiveVariable(psi=psi, pu=pu, lmean=float(s.l.mean()[0]), time=s.time)
+def _l_spec(grid, w_spec, lmean):
+    l_spec = inverse_grad_spec(grid, w_spec)
+    l_spec[(0,) * grid.dim] = lmean * grid.npoints
+    return l_spec
 
 
-def from_psi(d: DispersiveVariable) -> ExtendedState:
-    """Reconstruct (l, w, u) from psi, the solenoidal part and mean(l)."""
-    grid = d.grid
-    qu_spec = np.real(grid.ifft(d.psi.spectral)).copy()
-    qu_spec = grid.fft(qu_spec)
-    im_spec = grid.fft(np.imag(grid.ifft(d.psi.spectral)))
-    w_spec = im_spec * symbol_u(grid)
-    lspec = inverse_grad_spec(grid, w_spec)
-    lspec[(0,) * grid.dim] = d.lmean * grid.npoints
-    l = Field.from_spectral(grid, lspec[None], real=True)
-    w = Field.from_spectral(grid, grad_spec(grid, lspec), real=True)
-    u = Field.from_spectral(grid, d.pu.spectral + qu_spec, real=True)
-    return ExtendedState(l=l, w=w, u=u, time=d.time)
+def unpack(grid, psi_spec, lmean):
+    """``(Qu, Qu spectrum, w spectrum, l spectrum)`` carried by psi and mean(l)."""
+    psi_phys = grid.ifft(psi_spec)
+    qu = psi_phys.real.copy()
+    w_spec = grid.fft(psi_phys.imag) * symbol_u(grid)
+    return qu, grid.fft(qu), w_spec, _l_spec(grid, w_spec, lmean)
+
+
+def _extended(grid, l_spec, u_spec, time):
+    l = Field.from_spectral(grid, l_spec[None], real=True)
+    w = Field.from_spectral(grid, grad_spec(grid, l_spec), real=True)
+    return ExtendedState(l=l, w=w, u=Field.from_spectral(grid, u_spec, real=True), time=time)
+
+
+def decode(grid, psi_spec, pu_spec, lmean, time) -> ExtendedState:
+    """The extended state at ``time`` encoded by ``(psi, Pu, mean l)``."""
+    _, qu_spec, _, l_spec = unpack(grid, psi_spec, lmean)
+    u_spec = proj_p_spec(grid, pu_spec) + proj_q_spec(grid, qu_spec)
+    return _extended(grid, l_spec, u_spec, time)
 
 
 # ---------------------------------------------------------------------------
 # normal form
 # ---------------------------------------------------------------------------
 
-def _w1_from_w(grid, w_spec, qu_corr_spec, laws):
-    """w1 spectrum = w - grad(B[w, w]) + (precomputed grad B[Qu, Qu])."""
-    w = Field.from_spectral(grid, w_spec, real=True)
-    bww = bilinear_B(w, w, laws.strength)
-    corr = grad_spec(grid, bww.spectral[0]) - qu_corr_spec
-    return w_spec - corr
+def normal_form(s: ExtendedState, laws: ConstitutiveLaws) -> NormalForm:
+    """Encode ``s`` with ``w1 = w - grad(B[w,w] - B[Qu,Qu])`` in place of w."""
+    psi, pu, lmean = encode(s)
+    psi = psi + 1j * symbol_u_inv(s.grid) * normal_form_correction(s, laws).spectral
+    return NormalForm(s.grid, psi, pu, lmean, s.time)
 
 
-def normal_form(s: ExtendedState, laws: ConstitutiveLaws) -> DispersiveVariable:
-    """Replace w by ``w1 = w - grad(B[w,w] - B[Qu,Qu])`` inside psi."""
-    grid = s.grid
-    d = to_psi(s)
-    if laws.strength == 0.0:
-        d.psi_normal = d.psi
-        return d
-    pu, qu = split_velocity(s)
-    bqq = bilinear_B(qu, qu, laws.strength)
-    qu_corr = grad_spec(grid, bqq.spectral[0])
-    w1_spec = _w1_from_w(grid, s.w.spectral, qu_corr, laws)
-    w1 = Field.from_spectral(grid, w1_spec, real=True)
-    uinv_w1 = u_inverse(w1)
-    d.psi_normal = Field(grid, qu.data + 1j * uinv_w1.data)
-    return d
-
-
-def invert_normal_form(d: DispersiveVariable, laws: ConstitutiveLaws,
+def invert_normal_form(d: NormalForm, laws: ConstitutiveLaws,
                        tol: float = 1e-10, max_iter: int = 50):
     """Recover w from w1 by fixed-point iteration; contracts for small data.
 
     Returns ``(state, iterations)``.
     """
-    if d.psi_normal is None:
-        raise NormalFormError("dispersive variable carries no normal-form component")
     grid = d.grid
-    spec = d.psi_normal.spectral
-    qu_spec = grid.fft(np.real(grid.ifft(spec)))
-    w1_spec = grid.fft(np.imag(grid.ifft(spec))) * symbol_u(grid)
-    if laws.strength == 0.0:
-        w_spec = w1_spec
-        iters = 0
-    else:
+    _, qu_spec, w1_spec, _ = unpack(grid, d.psi, d.lmean)
+    w_spec, iters = w1_spec, 0
+    if laws.strength != 0.0:
         qu = Field.from_spectral(grid, qu_spec, real=True)
-        bqq = bilinear_B(qu, qu, laws.strength)
-        qu_corr = grad_spec(grid, bqq.spectral[0])
-        w_spec = w1_spec.copy()
+        qu_corr = grad_spec(grid, bilinear_B(qu, qu, laws.strength).spectral[0])
         scale = max(float(np.max(np.abs(w1_spec))) / grid.npoints, 1e-300)
-        iters = 0
         for iters in range(1, max_iter + 1):
             w_field = Field.from_spectral(grid, w_spec, real=True)
             bww = bilinear_B(w_field, w_field, laws.strength)
@@ -217,13 +189,7 @@ def invert_normal_form(d: DispersiveVariable, laws: ConstitutiveLaws,
             raise NormalFormError(
                 f"fixed-point inversion did not contract within {max_iter} iterations"
             )
-    lspec = inverse_grad_spec(grid, w_spec)
-    lspec[(0,) * grid.dim] = d.lmean * grid.npoints
-    l = Field.from_spectral(grid, lspec[None], real=True)
-    w = Field.from_spectral(grid, grad_spec(grid, lspec), real=True)
-    u = Field.from_spectral(grid, d.pu.spectral + qu_spec, real=True)
-    out = ExtendedState(l=l, w=w, u=u, time=d.time)
-    return out, iters
+    return _extended(grid, _l_spec(grid, w_spec, d.lmean), d.pu + qu_spec, d.time), iters
 
 
 def normal_form_correction(s: ExtendedState, laws: ConstitutiveLaws) -> Field:
@@ -231,9 +197,8 @@ def normal_form_correction(s: ExtendedState, laws: ConstitutiveLaws) -> Field:
     grid = s.grid
     if laws.strength == 0.0:
         return Field.zeros(grid, grid.dim)
-    _, qu = split_velocity(s)
+    _, qu = helmholtz_split(s.u)
     bqq = bilinear_B(qu, qu, laws.strength)
-    w = s.w
-    bww = bilinear_B(w, w, laws.strength)
+    bww = bilinear_B(s.w, s.w, laws.strength)
     corr = grad_spec(grid, bww.spectral[0] - bqq.spectral[0])
     return Field.from_spectral(grid, -corr, real=True)

@@ -230,13 +230,24 @@ def test_cli_config_error_exit_code(tmp_path):
     ["solver.typo=1"],
     ['laws.params={"K_coefs":[1,0.5]}', "laws.name=polynomial"],
     ["grid.shape.x=1"],
-], ids=["unknown-key", "law-param-typo", "path-into-list"])
+    ["seed=abc"],
+    ['solver.dt="abc"'],
+], ids=["unknown-key", "law-param-typo", "path-into-list", "non-integer-seed",
+        "string-dt"])
 def test_cli_bad_override_exit_code(overrides, capsys):
     argv = ["simulate"]
     for ov in overrides:
         argv += ["--override", ov]
     assert cli.main(argv) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_cli_verify_rejects_config_and_override(capsys):
+    # verify runs the default configs only, so argparse refuses these
+    for argv in (["verify", "--override", "solver.dt=1"], ["verify", "--config", "x.json"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
 
 
 def test_cli_override_and_out(tmp_path, capsys):

@@ -13,13 +13,13 @@ from ekwave.laws import ConstitutiveLaws
 from ekwave.spectral import gradient, proj_p_spec
 from ekwave.states import (
     EKState,
+    decode,
+    encode,
     from_extended,
-    from_psi,
     invert_normal_form,
     normal_form,
     normal_form_correction,
     to_extended,
-    to_psi,
 )
 from ekwave.initial_data import InitialDataSpec, generate_initial_data
 
@@ -185,6 +185,18 @@ def test_to_extended_vacuum_error():
         to_extended(s, QUANTUM)
 
 
+def test_to_extended_rejects_density_where_capillarity_turns_negative():
+    # K = 1 + 0.3 (rho - 1) - 0.1 (rho - 1)^2 is negative at rho = 10, so
+    # the primitive has no finite value there
+    law = ConstitutiveLaws.polynomial([1.0, 0.3, -0.1])
+    g = FourierGrid(16, 2 * np.pi)
+    rho = np.full(g.shape, 1.0)
+    rho[3] = 10.0
+    s = EKState(Field.scalar(g, rho), Field.zeros(g, g.dim), 0.0)
+    with pytest.raises(VacuumError):
+        to_extended(s, law)
+
+
 # ---------------------------------------------------------------------------
 # dispersive variable
 # ---------------------------------------------------------------------------
@@ -195,8 +207,8 @@ def test_psi_zero_for_solenoidal_velocity():
     gf = gradient(f)
     u = Field.vector(g, np.stack([-gf.data[1], gf.data[0]]))   # div-free
     ext = to_extended(EKState(Field.scalar(g, np.ones(g.shape)), u, 0.0), QUANTUM)
-    d = to_psi(ext)
-    assert np.max(np.abs(d.psi.data)) <= 1e-12
+    psi = g.ifft(encode(ext)[0])
+    assert np.max(np.abs(psi)) <= 1e-12
 
 
 def test_psi_equals_gradient_velocity():
@@ -204,15 +216,15 @@ def test_psi_equals_gradient_velocity():
     f = Field.scalar(g, 0.05 * np.sin(2 * g.meshgrid()[0]))
     u = gradient(f)
     ext = to_extended(EKState(Field.scalar(g, np.ones(g.shape)), u, 0.0), QUANTUM)
-    d = to_psi(ext)
-    assert np.max(np.abs(d.psi.data.real - u.data)) <= 1e-12
-    assert np.max(np.abs(d.psi.data.imag)) <= 1e-12
+    psi = g.ifft(encode(ext)[0])
+    assert np.max(np.abs(psi.real - u.data)) <= 1e-12
+    assert np.max(np.abs(psi.imag)) <= 1e-12
 
 
 def test_psi_round_trip():
     g = FourierGrid(64, 2 * np.pi)
     ext = to_extended(small_state(g, 0.05, seed=7), QUANTUM)
-    back = from_psi(to_psi(ext))
+    back = decode(g, *encode(ext), ext.time)
     assert np.max(np.abs(back.w.data - ext.w.data)) <= 1e-10
     assert np.max(np.abs(back.u.data - ext.u.data)) <= 1e-10
     assert np.max(np.abs(back.l.values - ext.l.values)) <= 1e-10
@@ -221,8 +233,7 @@ def test_psi_round_trip():
 def test_psi_imaginary_part_is_potential():
     g = FourierGrid((32, 32), (2 * np.pi, 2 * np.pi))
     ext = to_extended(small_state(g, 0.05, seed=19), QUANTUM)
-    d = to_psi(ext)
-    im_spec = g.fft(d.psi.data.imag)
+    im_spec = g.fft(g.ifft(encode(ext)[0]).imag)
     p_part = proj_p_spec(g, im_spec)
     assert np.max(np.abs(p_part)) <= 1e-10 * max(np.max(np.abs(im_spec)), 1.0)
 
@@ -235,7 +246,7 @@ def test_normal_form_zero_state():
     g = FourierGrid(32, 2 * np.pi)
     s = EKState(Field.scalar(g, np.ones(g.shape)), Field.zeros(g, g.dim), 0.0)
     d = normal_form(to_extended(s, QUANTUM), QUANTUM)
-    assert np.max(np.abs(d.psi_normal.data)) <= 1e-14
+    assert np.max(np.abs(g.ifft(d.psi))) <= 1e-14
 
 
 def test_normal_form_trivial_for_linear_law():

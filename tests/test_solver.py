@@ -207,3 +207,32 @@ def test_lifespan_experiment_table_shape():
         assert set(r) >= {"delta", "T_obs", "censored", "product"}
     assert rows[1]["censored"]          # delta = 0 never fires the envelope
     assert rows[1]["T_obs"] == 1.0
+
+
+def test_simulate_stops_at_criterion_cap():
+    g = FourierGrid(32, 2 * np.pi)
+    s0 = small_state(g, 0.05)
+    free = solver.simulate(s0, solver.SolverConfig(dt=1e-3, t_end=0.02, snapshot_stride=1),
+                           QUANTUM)
+    assert free.termination == "reached_t_end"
+    # a cap between the criterion after steps 3 and 4 fires at step 4
+    cap = 0.5 * (free.criterion_history[3] + free.criterion_history[4])
+    traj = solver.simulate(s0, solver.SolverConfig(dt=1e-3, t_end=0.02, criterion_cap=cap),
+                           QUANTUM)
+    assert traj.termination == "criterion_cap"
+    assert traj.final_time == free.times[4]
+    assert traj.final_state.time == traj.final_time
+    assert traj.criterion_history[-1] == free.criterion_history[4]
+    assert (len(traj.times) == len(traj.states) == len(traj.min_rho_history)
+            == len(traj.criterion_history) == 2)
+
+
+def test_lifespan_experiment_envelope_rule():
+    # an envelope below the initial transport norm fires at the first sample
+    g = FourierGrid((32, 32), (2 * np.pi, 2 * np.pi))
+    cfg = solver.SolverConfig(dt=0.02, t_end=1.0)
+    rows = solver.lifespan_experiment(0.05, [0.04], g, QUANTUM, cfg, seed=3, T_max=1.0,
+                                      envelope_C=0.5)
+    assert rows[0]["reason"] == "envelope"
+    assert not rows[0]["censored"]
+    assert rows[0]["T_obs"] == pytest.approx(5 * 0.02)
