@@ -14,7 +14,7 @@ import numpy as np
 from .errors import DerivativeOrderError, GaugeError, ZeroModeError
 from .grid import Field, FourierGrid
 from .laws import ConstitutiveLaws, _gauss_primitive
-from .spectral import grad_spec, group_velocity, proj_q_spec, symbol_h
+from .spectral import grad_spec, group_velocity, linear_flow, proj_q_spec
 from .states import EKState, ExtendedState
 
 
@@ -84,7 +84,7 @@ def weighted_norm(psi: Field, t: float, tail_fraction: float = 0.01):
     spec = psi.spectral
     if np.max(np.abs(spec[(Ellipsis,) + zero])) > 1e-8 * max(np.max(np.abs(spec)), 1e-300):
         raise ZeroModeError("weighted norm requires a mean-free field")
-    evolved = grid.ifft(spec * np.exp(-1j * t * symbol_h(grid)))
+    evolved = grid.ifft(spec * linear_flow(grid, -t))
     x = grid.meshgrid()
     r2 = sum((x[i] - grid.lengths[i] / 2.0) ** 2 for i in range(grid.dim))
     mass = np.sum(np.abs(evolved) ** 2, axis=0)

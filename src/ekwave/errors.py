@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types and the value-type check shared across the package."""
+
+import dataclasses
+from numbers import Integral, Real
+
+_KINDS = {"float": Real, "int": Integral, "str": str}
 
 
 class EkwaveError(Exception):
@@ -14,7 +19,7 @@ class ComponentError(EkwaveError, ValueError):
 
 
 class ZeroModeError(EkwaveError, ValueError):
-    """Singular multiplier applied to a field with a nonzero mean mode."""
+    """Operation that needs a mean-free field got a nonzero mean mode."""
 
 
 class QuadratureError(EkwaveError, RuntimeError):
@@ -55,3 +60,15 @@ class SnapshotError(EkwaveError, ValueError):
 
 class ConfigError(EkwaveError, ValueError):
     """Scenario configuration is invalid."""
+
+
+def check_field_types(obj) -> None:
+    """Raise TypeError where a dataclass field's value is not of its annotated kind.
+
+    ``float`` fields take any real number and ``int`` fields any integer,
+    booleans excepted.
+    """
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, bool) or not isinstance(value, _KINDS[f.type]):
+            raise TypeError(f"{type(obj).__name__}.{f.name} must be {f.type}, got {value!r}")

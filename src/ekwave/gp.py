@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ComponentError, VacuumError
 from .grid import Field, FourierGrid
 from .laws import ConstitutiveLaws
-from .spectral import div_spec, grad_spec
+from .spectral import div_spec, grad_spec, jacobian
 from .states import EKState
 
 VACUUM_THRESHOLD = 1e-6
@@ -267,10 +267,7 @@ def blowup_experiment(w0: WaveFunction, laws: ConstitutiveLaws, *,
             except VacuumError:
                 state = None
             if state is not None:
-                gmax = 0.0
-                for j in range(grid.dim):
-                    gu = grid.ifft(grad_spec(grid, state.u.spectral[j]), real=True)
-                    gmax = max(gmax, float(np.max(np.abs(gu))))
+                gmax = float(np.max(np.abs(jacobian(grid, state.u.spectral))))
                 report.grad_u_history.append(gmax)
                 report.grad_u_times.append(back.time)
                 if track_active:

@@ -63,7 +63,7 @@ class FourierGrid:
             2.0 * np.pi * m / L for m, L in zip(self._modes, self.lengths)
         )
         # broadcastable wavenumber arrays, one per axis
-        self._k_bcast = tuple(
+        k_bcast = tuple(
             k.reshape([-1 if i == j else 1 for j in range(self.dim)])
             for i, k in enumerate(self.wavenumbers)
         )
@@ -71,10 +71,10 @@ class FourierGrid:
         # real fields acquire spurious imaginary content there
         self._k_diff_bcast = tuple(
             np.where(m.reshape(k.shape) == -(n // 2), 0.0, k)
-            for k, m, n in zip(self._k_bcast, self._modes, self.shape)
+            for k, m, n in zip(k_bcast, self._modes, self.shape)
         )
         self.k_squared_diff = sum(k * k for k in self._k_diff_bcast)
-        self.k_squared = sum(k * k for k in self._k_bcast)
+        self.k_squared = sum(k * k for k in k_bcast)
         self.k_magnitude = np.sqrt(self.k_squared)
         # 2/3-rule mask per axis
         mask = np.ones(self.shape, dtype=bool)
@@ -110,12 +110,8 @@ class FourierGrid:
         out = np.fft.ifftn(spectrum, axes=self._axes_idx)
         return out.real if real else out
 
-    def kaxis(self, i):
-        """Broadcastable wavenumber array for axis ``i``."""
-        return self._k_bcast[i]
-
     def kaxis_diff(self, i):
-        """Like :meth:`kaxis` but with the Nyquist coefficient zeroed."""
+        """Broadcastable wavenumber array for axis ``i``, Nyquist coefficient zeroed."""
         return self._k_diff_bcast[i]
 
     def meshgrid(self):
@@ -226,9 +222,6 @@ class Field:
         if self._spectral is None:
             self._spectral = self.grid.fft(self.data)
         return self._spectral
-
-    def component(self, i):
-        return Field.scalar(self.grid, self.data[i])
 
     # -- small conveniences --------------------------------------------
     def __add__(self, other):

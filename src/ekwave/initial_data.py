@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_field_types
 from .grid import Field, FourierGrid
 from .laws import ConstitutiveLaws
 from .spectral import grad_spec, proj_p_spec
@@ -37,6 +37,9 @@ class InitialDataSpec:
     norm_k: int = 0
     norm_p: float = 2.0
     rho_mean: float = 1.0
+
+    def __post_init__(self):
+        check_field_types(self)
 
 
 def _band_mask(grid, band_limit):

@@ -132,10 +132,6 @@ class ConstitutiveLaws:
         """a'(1) - 1, the coefficient of the bilinear normal-form symbol."""
         return float(self.da(np.asarray(1.0))) - 1.0
 
-    def sqrt_K_over_rho(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        return np.sqrt(self.K(rho) / rho)
-
     def l_of_rho(self, rho):
         """The primitive int_1^rho sqrt(K/r) dr, elementwise.
 

@@ -24,7 +24,7 @@ from .errors import ConfigError, EkwaveError
 from .grid import FourierGrid
 from .laws import ConstitutiveLaws
 from .snapshots import save_snapshot
-from .spectral import symbol_h
+from .spectral import linear_flow
 from .states import from_extended, to_extended
 
 SCHEMA_VERSION = 1
@@ -33,10 +33,8 @@ SCENARIOS = ("simulate", "dispersion", "lifespan", "blowup", "normalform",
 
 _GRID_KEYS = {"shape", "lengths"}
 _LAWS_KEYS = {"name", "params"}
-_DATA_KEYS = {"kind", "amplitude", "solenoidal", "band_limit", "norm_k",
-              "norm_p", "rho_mean"}
-_SOLVER_KEYS = {"dt", "t_end", "dealias", "rho_min_stop", "criterion_cap",
-                "snapshot_stride", "check_stability"}
+_DATA_KEYS = {f.name for f in dataclasses.fields(initial_data.InitialDataSpec)}
+_SOLVER_KEYS = {f.name for f in dataclasses.fields(solver.SolverConfig)}
 _TOP_KEYS = {"schema_version", "scenario", "grid", "laws", "initial_data",
              "solver", "seed", "params"}
 
@@ -292,9 +290,8 @@ def _run_dispersion(cfg, report):
                          int(p.get("n_samples", 24)))
     rows = []
     spec0 = packet.spectral
-    hsym = symbol_h(grid)
     for t in times:
-        evolved = grid.ifft(spec0 * np.exp(1j * t * hsym))
+        evolved = grid.ifft(spec0 * linear_flow(grid, t))
         rows.append({"t": float(t),
                      "sup_norm": float(np.max(np.abs(evolved)))})
     slope, stderr = diagnostics.decay_fit([r["t"] for r in rows],

@@ -3,12 +3,14 @@
 The working unknowns are the encoded spectra of :mod:`ekwave.states`:
 the complex dispersive variable ``psi = Q u + i U^{-1} w``, the solenoidal
 velocity ``P u`` and the mean of ``l``.  The scheme is Strang splitting:
-the linear half-waves ``e^{i dt H/2}`` are applied exactly in Fourier
-space, and the remaining quadratic tendencies are advanced with classical
-RK4.  One driver steps every run: ``simulate`` and
-``lifespan_experiment`` differ only in the monitor's sample stride, the
-states they keep and an optional extra stop rule.  The primitive-variable
-(rho, u) right-hand side (one-dimensional only) is kept as a cross-check.
+the linear half-waves ``spectral.linear_flow(grid, dt/2)`` are applied
+exactly in Fourier space, and the remaining quadratic tendencies, always
+dealiased by the 2/3 rule, are advanced with classical RK4.  Velocity
+gradients come from ``spectral.jacobian``.  One driver steps every run:
+``simulate`` and ``lifespan_experiment`` differ only in the monitor's
+sample stride, the states they keep and an optional extra stop rule.  The
+primitive-variable (rho, u) right-hand side, in any dimension, is kept as
+a cross-check.
 """
 
 from __future__ import annotations
@@ -18,15 +20,16 @@ from typing import List
 
 import numpy as np
 
-from .errors import ComponentError, StabilityError, VacuumError
+from .errors import StabilityError, VacuumError, check_field_types
 from .grid import Field, FourierGrid
 from .laws import ConstitutiveLaws
 from .spectral import (
     div_spec,
     grad_spec,
+    jacobian,
+    linear_flow,
     proj_p_spec,
     proj_q_spec,
-    symbol_h,
     symbol_u_inv,
 )
 from .states import EKState, ExtendedState, decode, encode, to_extended, unpack
@@ -38,13 +41,12 @@ RK4_STABILITY = 2.8
 class SolverConfig:
     dt: float
     t_end: float
-    dealias: bool = True
     rho_min_stop: float = 1e-3
     criterion_cap: float = 1e3
     snapshot_stride: int = 100
-    check_stability: bool = True
 
     def __post_init__(self):
+        check_field_types(self)
         if self.dt < 0:
             raise StabilityError("dt must be nonnegative")
 
@@ -116,12 +118,9 @@ def nonlinear_tendencies(grid: FourierGrid, laws: ConstitutiveLaws,
     dw_nl = grad_spec(grid, _dealias_fft(grid, nl_l, dealias))
 
     # advective coupling through the solenoidal part
-    dpu_grad = np.stack([grid.ifft(grad_spec(grid, pu_spec[j]), real=True)
-                         for j in range(grid.dim)], axis=1)
-    dqu_grad = np.stack([grid.ifft(grad_spec(grid, work.qu_spec[j]), real=True)
-                         for j in range(grid.dim)], axis=1)
-    adv = (np.einsum("i...,ji...->j...", work.u, dpu_grad)
-           + np.einsum("i...,ji...->j...", work.pu, dqu_grad))
+    # u.grad Pu + Pu.grad Qu; Qu.grad Qu = grad|Qu|^2/2 is in quad below
+    adv = (np.einsum("i...,ij...->j...", work.u, jacobian(grid, pu_spec))
+           + np.einsum("i...,ij...->j...", work.pu, jacobian(grid, work.qu_spec)))
     adv_spec = _dealias_fft(grid, adv, dealias)
 
     quad = 0.5 * (np.sum(work.qu * work.qu, axis=0) - np.sum(work.w * work.w, axis=0))
@@ -164,13 +163,6 @@ def rhs_extended(s: ExtendedState, laws: ConstitutiveLaws, dealias=True):
     return dl, dw, du
 
 
-def rho_tendency(s: EKState):
-    """d(rho)/dt = -div(rho u) in divergence form; the mean vanishes exactly."""
-    grid = s.rho.grid
-    flux = s.rho.values * s.u.data
-    return Field.from_spectral(grid, -div_spec(grid, grid.fft(flux))[None], real=True)
-
-
 # ---------------------------------------------------------------------------
 # stepping
 # ---------------------------------------------------------------------------
@@ -194,7 +186,7 @@ def stability_bound(s: ExtendedState, laws: ConstitutiveLaws):
 
 
 def _check_dt(s: ExtendedState, cfg: SolverConfig, laws: ConstitutiveLaws):
-    if cfg.check_stability and cfg.dt > 0:
+    if cfg.dt > 0:
         bound = stability_bound(s, laws)
         if cfg.dt > bound:
             raise StabilityError(f"dt = {cfg.dt:.3e} exceeds estimated bound {bound:.3e}")
@@ -207,9 +199,9 @@ def step_encoded(grid, laws, cfg, psi, pu, lmean):
         return psi, pu, lmean
 
     def f(p, q, m):
-        return nonlinear_tendencies(grid, laws, p, q, m, cfg.dealias)
+        return nonlinear_tendencies(grid, laws, p, q, m)
 
-    half = np.exp(1j * (dt / 2.0) * symbol_h(grid))
+    half = linear_flow(grid, dt / 2.0)
     psi = psi * half
     k1 = f(psi, pu, lmean)
     k2 = f(psi + 0.5 * dt * k1[0], pu + 0.5 * dt * k1[1], lmean + 0.5 * dt * k1[2])
@@ -242,7 +234,7 @@ def _monitor(grid, laws, psi, pu, lmean):
     _, qu_spec, _, l_spec = unpack(grid, psi, lmean)
     rho = laws.rho_of_l(grid.ifft(l_spec, real=True))
     lap_rho = grid.ifft(-grid.k_squared * grid.fft(rho), real=True)
-    grad_u = grid.ifft(np.stack([grad_spec(grid, c) for c in pu + qu_spec]), real=True)
+    grad_u = jacobian(grid, pu + qu_spec)
     return float(np.min(rho)), float(np.max(np.abs(lap_rho))) + float(np.max(np.abs(grad_u)))
 
 
@@ -406,36 +398,29 @@ def lifespan_experiment(eps, delta_list, grid, laws, cfg, seed, T_max,
 
 
 # ---------------------------------------------------------------------------
-# primitive-variable cross-check (one-dimensional)
+# primitive-variable cross-check
 # ---------------------------------------------------------------------------
 
 def rhs_primitive(s: EKState, laws: ConstitutiveLaws, dealias=True):
-    """(d rho, d u) of the primitive formulation; one-dimensional only."""
-    grid = s.rho.grid
-    if grid.dim != 1:
-        raise ComponentError("primitive integration is a one-dimensional cross-check")
+    """``(d rho, d u)`` of the primitive formulation, as arrays, in any dimension.
+
+        d rho = -div(rho u)                     (divergence form: zero mean)
+        d u   = -u.grad u - g'(rho) grad rho + grad(K lap rho + K'|grad rho|^2/2)
+
+    An oracle for :func:`rhs_extended`, computed without the codec.
+    """
+    grid = s.grid
     laws.check_density(s.rho.values, "primitive tendency")
     rho = s.rho.values
-    u = s.u.data[0]
+    u = s.u.data
 
-    def ddx(phys):
-        spec = grid.fft(phys)
-        if dealias:
-            spec = spec * grid.dealias_mask
-        return grid.ifft(1j * grid.kaxis_diff(0) * spec, real=True)
+    def grad(phys):
+        return grid.ifft(grad_spec(grid, _dealias_fft(grid, phys, dealias)), real=True)
 
-    flux = rho * u
-    spec_flux = grid.fft(flux)
-    if dealias:
-        spec_flux = spec_flux * grid.dealias_mask
-    drho = grid.ifft(-1j * grid.kaxis_diff(0) * spec_flux, real=True)
-
-    drho_dx = ddx(rho)
+    drho = grid.ifft(-div_spec(grid, _dealias_fft(grid, rho * u, dealias)), real=True)
+    grad_rho = grad(rho)
     lap_rho = grid.ifft(-grid.k_squared * grid.fft(rho), real=True)
-    K = laws.K(rho)
-    dK = laws.dK(rho)
-    capillary = K * lap_rho + 0.5 * dK * drho_dx**2
-    du = -u * ddx(u) - laws.dg(rho) * drho_dx + ddx(capillary)
-    if dealias:
-        du = grid.ifft(grid.fft(du) * grid.dealias_mask, real=True)
-    return drho, du
+    capillary = laws.K(rho) * lap_rho + 0.5 * laws.dK(rho) * np.sum(grad_rho**2, axis=0)
+    du = (-np.einsum("i...,ij...->j...", u, jacobian(grid, _dealias_fft(grid, u, dealias)))
+          - laws.dg(rho) * grad_rho + grad(capillary))
+    return drho, grid.ifft(_dealias_fft(grid, du, dealias), real=True)

@@ -1,49 +1,79 @@
-"""Fourier multipliers, Helmholtz projection and the bilinear pseudo-product.
+"""Array-level Fourier operators and the bilinear pseudo-product.
 
-The two scalar symbols at the heart of the linear theory are
+Every module takes its spectral conventions from here.  The two scalar
+symbols at the heart of the linear theory are
 
     H(xi) = |xi| * sqrt(2 + |xi|^2)      (half-wave dispersion relation)
     U(xi) = |xi| / sqrt(2 + |xi|^2)
 
-both vanishing at xi = 0.  ``U^{-1}`` is singular on the mean mode and
-therefore requires mean-free input.  The Helmholtz projectors split a
-vector field into divergence-free and gradient parts; on the mean mode
-both are defined as zero.
+both vanishing at xi = 0; ``U^{-1}`` is set to zero on the mean mode.
+Symbols are computed once per grid (grids hash by shape and lengths) and
+returned read-only.  :func:`linear_flow` is the one linear group
+``e^{itH}``, :func:`jacobian` the one velocity gradient.  The Helmholtz
+projectors split a vector spectrum into divergence-free and gradient
+parts; on the mean mode both are defined as zero.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+import functools
 
 import numpy as np
 
-from .errors import ComponentError, QuadratureError, ZeroModeError
+from .errors import ComponentError, QuadratureError
 from .grid import Field, FourierGrid
 
-MEAN_MODE_TOL = 1e-10
+# bilinear_B doubles its Gauss-Legendre rule until two successive results
+# agree to this relative L^2 tolerance, up to this many nodes
+BILINEAR_TOL = 1e-8
+BILINEAR_MAX_NODES = 256
+
+
+def _per_grid(fn):
+    """Compute ``fn(grid)`` once per grid and return it read-only."""
+    @functools.lru_cache(maxsize=16)
+    @functools.wraps(fn)
+    def cached(grid):
+        out = fn(grid)
+        out.flags.writeable = False
+        return out
+    return cached
 
 
 # ---------------------------------------------------------------------------
 # scalar symbols on the wavenumber lattice
 # ---------------------------------------------------------------------------
 
+@_per_grid
 def symbol_h(grid: FourierGrid) -> np.ndarray:
     k = grid.k_magnitude
     return k * np.sqrt(2.0 + grid.k_squared)
 
 
+@_per_grid
 def symbol_u(grid: FourierGrid) -> np.ndarray:
     k = grid.k_magnitude
     return k / np.sqrt(2.0 + grid.k_squared)
 
 
+@_per_grid
 def symbol_u_inv(grid: FourierGrid) -> np.ndarray:
-    """1/U with the (undefined) mean mode set to zero; callers must check."""
+    """1/U with the (undefined) mean mode set to zero."""
     u = symbol_u(grid)
     with np.errstate(divide="ignore"):
         inv = np.where(u > 0, 1.0 / np.where(u > 0, u, 1.0), 0.0)
     return inv
+
+
+@_per_grid
+def _k2_safe(grid):
+    # the projector denominator: Nyquist-zeroed |xi|^2 with 1 on its zeros
+    return np.where(grid.k_squared_diff > 0, grid.k_squared_diff, 1.0)
+
+
+def linear_flow(grid: FourierGrid, t) -> np.ndarray:
+    """The multiplier of the unitary linear group e^{itH}."""
+    return np.exp(1j * t * symbol_h(grid))
 
 
 def group_velocity(r):
@@ -53,24 +83,21 @@ def group_velocity(r):
 
 
 # ---------------------------------------------------------------------------
-# array-level operators (used heavily by the solvers)
+# differential operators and projectors on spectra
 # ---------------------------------------------------------------------------
 
-def _check_mean_free(grid, spec, context):
-    zero = (0,) * grid.dim
-    amp = np.max(np.abs(spec[(Ellipsis,) + zero])) / grid.npoints
-    scale = max(np.max(np.abs(spec)) / grid.npoints, 1e-300)
-    if amp > MEAN_MODE_TOL * max(scale, 1.0):
-        raise ZeroModeError(f"{context} requires a mean-free field (mean amplitude {amp:.3e})")
-
-
-def grad_spec(grid, spec_scalar):
-    """Spectral gradient: scalar spectrum -> (dim, ...) vector spectrum."""
-    return np.stack([1j * grid.kaxis_diff(i) * spec_scalar for i in range(grid.dim)])
+def grad_spec(grid, spec):
+    """Spectral gradient: prepends an axis of ``dim`` derivatives to ``spec``."""
+    return np.stack([1j * grid.kaxis_diff(i) * spec for i in range(grid.dim)])
 
 
 def div_spec(grid, spec_vector):
     return sum(1j * grid.kaxis_diff(i) * spec_vector[i] for i in range(grid.dim))
+
+
+def jacobian(grid, vec_spec):
+    """Physical gradient ``J[i, j] = d_i v_j`` of a vector spectrum, in one inverse transform."""
+    return grid.ifft(grad_spec(grid, vec_spec), real=True)
 
 
 def proj_q_spec(grid, spec_vector):
@@ -79,7 +106,7 @@ def proj_q_spec(grid, spec_vector):
     Uses the Nyquist-zeroed wavenumbers so that Q is exactly idempotent
     and exactly the identity on outputs of :func:`grad_spec`.
     """
-    k2 = np.where(grid.k_squared_diff > 0, grid.k_squared_diff, 1.0)
+    k2 = _k2_safe(grid)
     kv = sum(grid.kaxis_diff(i) * spec_vector[i] for i in range(grid.dim))
     out = np.stack([grid.kaxis_diff(i) * kv / k2 for i in range(grid.dim)])
     zero = (0,) * grid.dim
@@ -96,120 +123,10 @@ def proj_p_spec(grid, spec_vector):
 
 def inverse_grad_spec(grid, spec_vector):
     """Scalar spectrum f with grad f = v for a gradient field v; zero mean."""
-    k2 = np.where(grid.k_squared_diff > 0, grid.k_squared_diff, 1.0)
-    out = -1j * sum(grid.kaxis_diff(i) * spec_vector[i] for i in range(grid.dim)) / k2
+    out = -1j * sum(grid.kaxis_diff(i) * spec_vector[i] for i in range(grid.dim)) / _k2_safe(grid)
     zero = (0,) * grid.dim
     out[(Ellipsis,) + zero] = 0.0
     return out
-
-
-# ---------------------------------------------------------------------------
-# Field-level multiplier interface
-# ---------------------------------------------------------------------------
-
-_SCALAR_SYMBOLS = {
-    "H": symbol_h,
-    "U": symbol_u,
-    "Uinv": symbol_u_inv,
-    "Laplacian": lambda grid: -grid.k_squared,
-}
-
-
-@dataclass(frozen=True)
-class MultiplierSymbol:
-    """Identifier (plus parameters) of a linear Fourier multiplier.
-
-    ``kind`` is one of ``H | U | Uinv | P | Q | Grad | Div | Laplacian |
-    HalfWaveExp | Custom``.  ``HalfWaveExp`` carries the time ``t`` of the
-    semigroup ``e^{itH}``; ``Custom`` carries a closure mapping a grid to
-    a (broadcastable) scalar symbol array.
-    """
-
-    kind: str
-    t: float = 0.0
-    fn: Optional[Callable[[FourierGrid], np.ndarray]] = None
-
-    @classmethod
-    def custom(cls, fn):
-        return cls("Custom", fn=fn)
-
-    @classmethod
-    def half_wave_exp(cls, t):
-        return cls("HalfWaveExp", t=float(t))
-
-
-def apply_multiplier(f: Field, m: MultiplierSymbol) -> Field:
-    """Apply a linear Fourier multiplier to a field.
-
-    Real fields stay real under real (even) scalar symbols and under the
-    projectors; ``HalfWaveExp`` always yields a complex field.
-    """
-    grid = f.grid
-    kind = m.kind
-    if kind in _SCALAR_SYMBOLS or kind == "Custom":
-        sym = m.fn(grid) if kind == "Custom" else _SCALAR_SYMBOLS[kind](grid)
-        if kind == "Uinv":
-            _check_mean_free(grid, f.spectral, "U^{-1}")
-        spec = f.spectral * sym
-        real = f.is_real and np.isrealobj(sym)
-        return Field.from_spectral(grid, spec, real=real)
-    if kind == "HalfWaveExp":
-        phase = np.exp(1j * m.t * symbol_h(grid))
-        return Field.from_spectral(grid, f.spectral * phase, real=False)
-    if kind in ("P", "Q"):
-        if f.ncomp != grid.dim:
-            raise ComponentError(f"projector {kind} requires a vector field")
-        proj = proj_p_spec if kind == "P" else proj_q_spec
-        return Field.from_spectral(grid, proj(grid, f.spectral), real=f.is_real)
-    if kind == "Grad":
-        if not f.is_scalar:
-            raise ComponentError("Grad expects a scalar field")
-        return Field.from_spectral(grid, grad_spec(grid, f.spectral[0]), real=f.is_real)
-    if kind == "Div":
-        if f.ncomp != grid.dim:
-            raise ComponentError("Div expects a vector field")
-        return Field.from_spectral(grid, div_spec(grid, f.spectral)[None], real=f.is_real)
-    raise ComponentError(f"unknown multiplier kind {kind!r}")
-
-
-# Named shorthands -----------------------------------------------------------
-
-def u_operator(f):
-    return apply_multiplier(f, MultiplierSymbol("U"))
-
-
-def u_inverse(f):
-    return apply_multiplier(f, MultiplierSymbol("Uinv"))
-
-
-def gradient(f):
-    return apply_multiplier(f, MultiplierSymbol("Grad"))
-
-
-def divergence(f):
-    return apply_multiplier(f, MultiplierSymbol("Div"))
-
-
-def semigroup(f: Field, t: float) -> Field:
-    """Unitary linear flow e^{itH}; preserves the L^2 norm exactly."""
-    return apply_multiplier(f, MultiplierSymbol.half_wave_exp(t))
-
-
-def helmholtz_split(u: Field):
-    """Return ``(Pu, Qu)``: solenoidal and potential parts, summing to u."""
-    if u.ncomp != u.grid.dim:
-        raise ComponentError("helmholtz_split expects a vector field")
-    spec = u.spectral
-    qu = proj_q_spec(u.grid, spec)
-    pu = spec - qu
-    zero = (0,) * u.grid.dim
-    # the mean mode is assigned to neither projector
-    pu[(Ellipsis,) + zero] = 0.0
-    real = u.is_real
-    return (
-        Field.from_spectral(u.grid, pu, real=real),
-        Field.from_spectral(u.grid, qu, real=real),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +140,7 @@ def _heat_quadrature_nodes(n):
     return tau, 0.5 * weights
 
 
-def bilinear_B(f: Field, g: Field, strength: float, tol: float = 1e-8,
-               max_nodes: int = 256) -> Field:
+def bilinear_B(f: Field, g: Field, strength: float) -> Field:
     """Bilinear pseudo-product with symbol ``strength / (2 (2 + |eta|^2 + |zeta|^2))``.
 
     Evaluated through the heat-kernel representation
@@ -233,7 +149,7 @@ def bilinear_B(f: Field, g: Field, strength: float, tol: float = 1e-8,
 
     with the substitution ``s = -ln(1 - tau)/2`` and Gauss-Legendre nodes
     on ``(0, 1)``, doubling the node count until two successive results
-    agree to ``tol`` (relative, L^2).  Vector inputs contract to the dot
+    agree to ``BILINEAR_TOL`` (relative, L^2).  Vector inputs contract to the dot
     product; scalar inputs give the scalar pseudo-product.
     """
     if f.grid is not g.grid and f.grid != g.grid:
@@ -277,16 +193,17 @@ def bilinear_B(f: Field, g: Field, strength: float, tol: float = 1e-8,
 
     prev = evaluate(8)
     n = 16
-    while n <= max_nodes:
+    while n <= BILINEAR_MAX_NODES:
         cur = evaluate(n)
         scale = max(np.sqrt(np.sum(np.abs(cur) ** 2)), 1e-300)
-        if np.sqrt(np.sum(np.abs(cur - prev) ** 2)) <= tol * scale:
+        if np.sqrt(np.sum(np.abs(cur - prev) ** 2)) <= BILINEAR_TOL * scale:
             total = strength * (cur + mean_field)
             return Field.scalar(grid, total.real if real else total)
         prev = cur
         n *= 2
     raise QuadratureError(
-        f"bilinear quadrature did not converge to {tol:.1e} within {max_nodes} nodes"
+        f"bilinear quadrature did not converge to {BILINEAR_TOL:.1e} "
+        f"within {BILINEAR_MAX_NODES} nodes"
     )
 
 

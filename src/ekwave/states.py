@@ -26,7 +26,6 @@ from .laws import ConstitutiveLaws
 from .spectral import (
     bilinear_B,
     grad_spec,
-    helmholtz_split,
     inverse_grad_spec,
     proj_p_spec,
     proj_q_spec,
@@ -197,7 +196,7 @@ def normal_form_correction(s: ExtendedState, laws: ConstitutiveLaws) -> Field:
     grid = s.grid
     if laws.strength == 0.0:
         return Field.zeros(grid, grid.dim)
-    _, qu = helmholtz_split(s.u)
+    qu = Field.from_spectral(grid, proj_q_spec(grid, s.u.spectral), real=True)
     bqq = bilinear_B(qu, qu, laws.strength)
     bww = bilinear_B(s.w, s.w, laws.strength)
     corr = grad_spec(grid, bww.spectral[0] - bqq.spectral[0])

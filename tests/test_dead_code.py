@@ -1,0 +1,75 @@
+"""No dead code in the package: every import is used, every definition referenced.
+
+The scan is syntactic.  A name counts as referenced where it appears as a
+bare name, as an attribute, or as an identifier-shaped string constant
+(the benchmark names the functions it traces by string) in any module of
+``src/ekwave``, ``tests`` or ``perfbench``.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "ekwave"
+SCANNED = [PACKAGE, ROOT / "tests", ROOT / "perfbench"]
+
+
+def parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def references(tree):
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            names.add(node.value)
+    return names
+
+
+def definitions(tree):
+    """Module-level functions and classes, and the methods of those classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield f"{node.name}.{item.name}", item.lineno
+
+
+def test_no_unused_module_level_import():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = parse(path)
+        used = references(tree)
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in used:
+                        unused.append(f"{path.name}:{node.lineno} {bound}")
+    assert not unused, f"unused imports: {unused}"
+
+
+def test_every_definition_is_referenced():
+    used = set()
+    for root in SCANNED:
+        for path in root.rglob("*.py"):
+            used |= references(parse(path))
+    unreferenced = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for qualname, lineno in definitions(parse(path)):
+            name = qualname.rsplit(".", 1)[-1]
+            # dunder methods are called by the language, not by name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if name not in used:
+                unreferenced.append(f"{path.name}:{lineno} {qualname}")
+    assert not unreferenced, f"definitions nothing references: {unreferenced}"

@@ -5,20 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ekwave.errors import GridError, ZeroModeError, ComponentError
+from ekwave.errors import GridError
 from ekwave.grid import Field, FourierGrid
 from ekwave.spectral import (
-    MultiplierSymbol,
-    apply_multiplier,
     bilinear_B,
     bilinear_B_exact,
-    divergence,
-    gradient,
-    helmholtz_split,
-    semigroup,
+    div_spec,
+    grad_spec,
+    jacobian,
+    linear_flow,
+    proj_p_spec,
+    proj_q_spec,
     symbol_h,
-    u_inverse,
-    u_operator,
+    symbol_u,
+    symbol_u_inv,
 )
 
 
@@ -87,11 +87,21 @@ def test_real_field_spectrum_hermitian():
 # linear multipliers
 # ---------------------------------------------------------------------------
 
+def test_symbols_computed_once_per_grid_and_read_only():
+    g = FourierGrid((16, 32), (2 * np.pi, 4 * np.pi))
+    same = FourierGrid((16, 32), (2 * np.pi, 4 * np.pi))
+    for symbol in (symbol_h, symbol_u, symbol_u_inv):
+        assert symbol(g) is symbol(same)
+        with pytest.raises(ValueError):
+            symbol(g)[0, 0] = 1.0
+    assert symbol_h(g) is not symbol_h(FourierGrid((16, 32), (2 * np.pi, 2 * np.pi)))
+
+
 def test_h_on_zero_field_is_zero():
     g = FourierGrid(16, 2 * np.pi)
     z = Field.zeros(g)
-    out = apply_multiplier(z, MultiplierSymbol("H"))
-    assert np.all(out.values == 0.0)
+    out = g.ifft(z.spectral * symbol_h(g), real=True)
+    assert np.all(out == 0.0)
 
 
 def test_u_on_single_mode_sqrt2():
@@ -99,49 +109,57 @@ def test_u_on_single_mode_sqrt2():
     g = FourierGrid((16, 16), (2 * np.pi, 2 * np.pi))
     x = g.meshgrid()
     f = Field.scalar(g, np.exp(1j * (x[0] + x[1])))
-    out = u_operator(f)
+    out = g.ifft(f.spectral * symbol_u(g))
     # U = sqrt(2)/sqrt(2+2) = 1/sqrt(2)
-    assert np.max(np.abs(out.values - f.values / np.sqrt(2.0))) <= 1e-12
+    assert np.max(np.abs(out - f.data / np.sqrt(2.0))) <= 1e-12
 
 
 def test_q_is_identity_on_gradients():
     g = FourierGrid((32, 32), (2 * np.pi, 2 * np.pi))
     f = random_scalar(g, 5)
-    gf = gradient(f)
-    qgf = apply_multiplier(gf, MultiplierSymbol("Q"))
-    assert np.max(np.abs(qgf.data - gf.data)) <= 1e-11 * np.max(np.abs(gf.data))
-
-
-def test_uinv_rejects_nonzero_mean():
-    g = FourierGrid(16, 2 * np.pi)
-    f = Field.scalar(g, np.ones(g.shape))
-    with pytest.raises(ZeroModeError):
-        u_inverse(f)
+    gf = grad_spec(g, f.spectral[0])
+    qgf = proj_q_spec(g, gf)
+    scale = np.max(np.abs(g.ifft(gf, real=True)))
+    assert np.max(np.abs(g.ifft(qgf - gf, real=True))) <= 1e-11 * scale
 
 
 def test_uinv_u_identity_on_mean_free():
     g = FourierGrid(64, 2 * np.pi)
     f = mean_free(random_scalar(g, 8))
-    out = u_inverse(u_operator(f))
-    assert np.max(np.abs(out.values - f.values)) <= 1e-12 * np.max(np.abs(f.values))
+    out = g.ifft(f.spectral * symbol_u(g) * symbol_u_inv(g), real=True)
+    assert np.max(np.abs(out - f.data)) <= 1e-12 * np.max(np.abs(f.values))
 
 
-def test_projectors_require_vector_fields():
-    g = FourierGrid((16, 16), (2 * np.pi, 2 * np.pi))
-    with pytest.raises(ComponentError):
-        apply_multiplier(random_scalar(g), MultiplierSymbol("P"))
+@pytest.mark.parametrize("shape", [(128, 128), (32, 32, 32)])
+def test_jacobian_is_the_per_component_gradient(shape):
+    # one batched inverse transform, bit-identical to one per component
+    g = FourierGrid(shape, 2 * np.pi)
+    v = random_vector(g, 13).spectral
+    per_component = np.stack([g.ifft(grad_spec(g, v[j]), real=True)
+                              for j in range(g.dim)], axis=1)
+    assert np.array_equal(jacobian(g, v), per_component)
 
 
 # ---------------------------------------------------------------------------
 # Helmholtz decomposition
 # ---------------------------------------------------------------------------
 
+def split(g, u):
+    """(Pu, Qu) of a real vector field, as sample arrays."""
+    return (g.ifft(proj_p_spec(g, u.spectral), real=True),
+            g.ifft(proj_q_spec(g, u.spectral), real=True))
+
+
+def gradient(f):
+    return Field.from_spectral(f.grid, grad_spec(f.grid, f.spectral[0]), real=True)
+
+
 def test_helmholtz_gradient_is_potential():
     g = FourierGrid((32, 32), (2 * np.pi, 2 * np.pi))
     u = gradient(random_scalar(g, 1))
-    sol, pot = helmholtz_split(u)
-    assert np.max(np.abs(sol.data)) <= 1e-12 * np.max(np.abs(u.data))
-    assert np.max(np.abs(pot.data - u.data)) <= 1e-12 * np.max(np.abs(u.data))
+    sol, pot = split(g, u)
+    assert np.max(np.abs(sol)) <= 1e-12 * np.max(np.abs(u.data))
+    assert np.max(np.abs(pot - u.data)) <= 1e-12 * np.max(np.abs(u.data))
 
 
 def test_helmholtz_perp_gradient_is_solenoidal():
@@ -149,41 +167,44 @@ def test_helmholtz_perp_gradient_is_solenoidal():
     f = random_scalar(g, 2)
     gf = gradient(f)
     u = Field.vector(g, np.stack([-gf.data[1], gf.data[0]]))
-    sol, pot = helmholtz_split(u)
-    assert np.max(np.abs(pot.data)) <= 1e-12 * np.max(np.abs(u.data))
-    assert np.max(np.abs(sol.data - u.data)) <= 1e-12 * np.max(np.abs(u.data))
+    sol, pot = split(g, u)
+    assert np.max(np.abs(pot)) <= 1e-12 * np.max(np.abs(u.data))
+    assert np.max(np.abs(sol - u.data)) <= 1e-12 * np.max(np.abs(u.data))
 
 
 def test_helmholtz_completeness_idempotence_orthogonality():
     g = FourierGrid((32, 32), (2 * np.pi, 2 * np.pi))
     u = random_vector(g, 7)
     scale = np.max(np.abs(u.data))
-    sol, pot = helmholtz_split(u)
+    sol, pot = split(g, u)
     mean = np.mean(u.data, axis=tuple(range(1, u.data.ndim)))
-    recon = sol.data + pot.data + mean.reshape((-1,) + (1,) * g.dim)
+    recon = sol + pot + mean.reshape((-1,) + (1,) * g.dim)
     assert np.max(np.abs(recon - u.data)) <= 1e-12 * scale
-    sol2, _ = helmholtz_split(sol)
-    _, pot2 = helmholtz_split(pot)
-    assert np.max(np.abs(sol2.data - sol.data)) <= 1e-12 * scale
-    assert np.max(np.abs(pot2.data - pot.data)) <= 1e-12 * scale
+    sol2, qp = split(g, Field.vector(g, sol))
+    ps, pot2 = split(g, Field.vector(g, pot))
+    assert np.max(np.abs(sol2 - sol)) <= 1e-12 * scale
+    assert np.max(np.abs(pot2 - pot)) <= 1e-12 * scale
     # mutual annihilation
-    _, qp = helmholtz_split(sol)
-    ps, _ = helmholtz_split(pot)
-    assert np.max(np.abs(qp.data)) <= 1e-12 * scale
-    assert np.max(np.abs(ps.data)) <= 1e-12 * scale
-    assert np.max(np.abs(divergence(sol).values)) <= 1e-10 * scale
+    assert np.max(np.abs(qp)) <= 1e-12 * scale
+    assert np.max(np.abs(ps)) <= 1e-12 * scale
+    assert np.max(np.abs(g.ifft(div_spec(g, g.fft(sol)), real=True))) <= 1e-10 * scale
 
 
 # ---------------------------------------------------------------------------
-# semigroup e^{itH}
+# linear flow e^{itH}
 # ---------------------------------------------------------------------------
+
+def flow(f, t):
+    """e^{itH} f as a complex field."""
+    return Field.from_spectral(f.grid, f.spectral * linear_flow(f.grid, t))
+
 
 def test_semigroup_t0_identity_and_unitarity():
     g = FourierGrid(64, 2 * np.pi)
     f = random_scalar(g, 4, complex_kind=True)
-    out0 = semigroup(f, 0.0)
+    out0 = flow(f, 0.0)
     assert np.max(np.abs(out0.values - f.values)) <= 1e-12 * np.max(np.abs(f.values))
-    out = semigroup(f, 1.7)
+    out = flow(f, 1.7)
     assert abs(out.l2norm() - f.l2norm()) <= 1e-12 * f.l2norm()
 
 
@@ -191,7 +212,7 @@ def test_semigroup_single_mode_phase():
     g = FourierGrid(16, 2 * np.pi)
     x = g.meshgrid()[0]
     f = Field.scalar(g, np.exp(1j * x))
-    out = semigroup(f, 1.0)
+    out = flow(f, 1.0)
     expected = np.exp(1j * np.sqrt(3.0)) * f.values   # H(1) = sqrt(3)
     assert np.max(np.abs(out.values - expected)) <= 1e-12
 
@@ -201,8 +222,8 @@ def test_semigroup_single_mode_phase():
 def test_semigroup_group_law(t1, t2):
     g = FourierGrid(16, 2 * np.pi)
     f = random_scalar(g, 9, complex_kind=True)
-    a = semigroup(semigroup(f, t1), t2)
-    b = semigroup(f, t1 + t2)
+    a = flow(flow(f, t1), t2)
+    b = flow(f, t1 + t2)
     assert np.max(np.abs(a.values - b.values)) <= 1e-12 * np.max(np.abs(f.values))
 
 

@@ -13,7 +13,7 @@ from ekwave.grid import Field, FourierGrid
 from ekwave.initial_data import InitialDataSpec, generate_initial_data
 from ekwave.laws import ConstitutiveLaws
 from ekwave.snapshots import header_size, load_snapshot, save_snapshot
-from ekwave.spectral import helmholtz_split
+from ekwave.spectral import proj_p_spec
 
 QUANTUM = ConstitutiveLaws.quantum()
 
@@ -25,7 +25,7 @@ QUANTUM = ConstitutiveLaws.quantum()
 def test_delta_zero_gives_potential_velocity():
     g = FourierGrid((32, 32), (2 * np.pi, 2 * np.pi))
     s = generate_initial_data(InitialDataSpec(amplitude=0.05), g, QUANTUM, 9)
-    pu, _ = helmholtz_split(s.u)
+    pu = Field.from_spectral(g, proj_p_spec(g, s.u.spectral), real=True)
     assert pu.l2norm() <= 1e-12
 
 
@@ -44,7 +44,7 @@ def test_solenoidal_norm_is_renormalized():
     g = FourierGrid((64, 64), (2 * np.pi, 2 * np.pi))
     spec = InitialDataSpec(amplitude=0.05, solenoidal=0.03)
     s = generate_initial_data(spec, g, QUANTUM, 5)
-    pu, _ = helmholtz_split(s.u)
+    pu = Field.from_spectral(g, proj_p_spec(g, s.u.spectral), real=True)
     assert abs(norm(pu, NormSpec(0, 2.0)) - 0.03) <= 1e-10
 
 
@@ -232,8 +232,14 @@ def test_cli_config_error_exit_code(tmp_path):
     ["grid.shape.x=1"],
     ["seed=abc"],
     ['solver.dt="abc"'],
+    ['solver.snapshot_stride="x"'],
+    ['solver.rho_min_stop="x"'],
+    ['initial_data.amplitude="x"'],
+    ["solver.dealias=false"],
+    ["solver.check_stability=false"],
 ], ids=["unknown-key", "law-param-typo", "path-into-list", "non-integer-seed",
-        "string-dt"])
+        "string-dt", "string-snapshot-stride", "string-rho-min-stop",
+        "string-amplitude", "removed-dealias-key", "removed-check-stability-key"])
 def test_cli_bad_override_exit_code(overrides, capsys):
     argv = ["simulate"]
     for ov in overrides:

@@ -10,7 +10,7 @@ from ekwave import laws as laws_module
 from ekwave.errors import NormalizationError, RootSolveError, VacuumError
 from ekwave.grid import Field, FourierGrid
 from ekwave.laws import ConstitutiveLaws
-from ekwave.spectral import gradient, proj_p_spec
+from ekwave.spectral import grad_spec, proj_p_spec
 from ekwave.states import (
     EKState,
     decode,
@@ -25,6 +25,10 @@ from ekwave.initial_data import InitialDataSpec, generate_initial_data
 
 
 QUANTUM = ConstitutiveLaws.quantum()
+
+
+def gradient(f):
+    return Field.from_spectral(f.grid, grad_spec(f.grid, f.spectral[0]), real=True)
 
 
 def small_state(grid, amplitude, seed=11, laws=QUANTUM):

@@ -3,16 +3,17 @@
 import numpy as np
 import pytest
 
-from ekwave.errors import ComponentError, StabilityError
+from ekwave.errors import StabilityError
 from ekwave.grid import Field, FourierGrid
 from ekwave.laws import ConstitutiveLaws
 from ekwave import gp, scenarios, solver, states
 from ekwave.diagnostics import hamiltonian, mass
 from ekwave.initial_data import InitialDataSpec, generate_initial_data
-from ekwave.spectral import grad_spec, proj_p_spec, symbol_h
+from ekwave.spectral import grad_spec, proj_p_spec
 
 QUANTUM = ConstitutiveLaws.quantum()
 POLYNOMIAL = ConstitutiveLaws.polynomial([1.0, 0.5])     # K = 1 + (rho - 1)/2
+LAWS = {"quantum": QUANTUM, "constant": ConstitutiveLaws.constant(), "polynomial": POLYNOMIAL}
 
 
 def small_state(grid, amplitude, seed=42, solenoidal=0.0):
@@ -28,11 +29,25 @@ def test_constant_state_has_zero_tendencies():
         assert np.max(np.abs(f.data)) <= 1e-13
 
 
+def test_steady_shear_has_zero_tendencies():
+    # rho = 1, u = (sin y, 0): u.grad u = 0 and the shear is divergence-free
+    g = FourierGrid((32, 32), (2 * np.pi, 2 * np.pi))
+    y = g.meshgrid()[1]
+    u = Field.vector(g, np.stack([np.sin(y), np.zeros(g.shape)]))
+    ext = states.to_extended(states.EKState(Field.scalar(g, np.ones(g.shape)), u), QUANTUM)
+    dpsi, dpu, dlmean = solver.nonlinear_tendencies(g, QUANTUM, *solver.encode(ext))
+    assert np.max(np.abs(dpsi)) / g.npoints <= 1e-14
+    assert np.max(np.abs(dpu)) / g.npoints <= 1e-14
+    assert dlmean == 0.0
+    for f in solver.rhs_extended(ext, QUANTUM):
+        assert np.max(np.abs(f.data)) <= 1e-14
+
+
 def test_density_tendency_mean_free():
     g = FourierGrid(64, 2 * np.pi)
     s = small_state(g, 0.1, seed=1)
-    drho = solver.rho_tendency(s)
-    assert abs(np.mean(drho.values)) <= 1e-14 * max(np.max(np.abs(drho.values)), 1.0)
+    drho, _ = solver.rhs_primitive(s, QUANTUM)
+    assert abs(np.mean(drho)) <= 1e-14 * max(np.max(np.abs(drho)), 1.0)
 
 
 def test_tendency_gradient_structure():
@@ -53,16 +68,28 @@ def test_extended_matches_primitive_oracle():
     dl, dw, du = solver.rhs_extended(ext, QUANTUM, dealias=False)
     drho, du_prim = solver.rhs_primitive(s, QUANTUM, dealias=False)
     scale = np.max(np.abs(du_prim))
-    assert np.max(np.abs(du.data[0] - du_prim)) <= 1e-10 * scale
+    assert np.max(np.abs(du.data - du_prim)) <= 1e-10 * scale
     # dl = l'(rho) drho = drho / rho for the quantum law
     assert np.max(np.abs(dl.values - drho / s.rho.values)) <= 1e-10 * scale
 
 
-def test_primitive_rhs_is_one_dimensional_only():
-    g = FourierGrid((16, 16), (2 * np.pi, 2 * np.pi))
-    s = states.EKState(Field.scalar(g, np.ones(g.shape)), Field.zeros(g, g.dim), 0.0)
-    with pytest.raises(ComponentError):
-        solver.rhs_primitive(s, QUANTUM)
+@pytest.mark.parametrize("law", sorted(LAWS))
+@pytest.mark.parametrize("shape, tol", [((64, 64), 1e-10), ((32, 32, 32), 1e-8)],
+                         ids=["64x64", "32x32x32"])
+def test_extended_matches_primitive_oracle_with_vorticity(shape, tol, law):
+    # delta > 0: the solenoidal velocity must be transported.  The codec
+    # carries no mean velocity, so the mean mode of du is left out.
+    laws = LAWS[law]
+    g = FourierGrid(shape, 2 * np.pi)
+    s = generate_initial_data(InitialDataSpec(amplitude=0.05, solenoidal=0.04), g, laws, 11)
+    dl, _, du = solver.rhs_extended(states.to_extended(s, laws), laws, dealias=False)
+    drho, du_prim = solver.rhs_primitive(s, laws, dealias=False)
+    du_prim = du_prim - du_prim.mean(axis=tuple(range(1, du_prim.ndim)), keepdims=True)
+    scale = np.max(np.abs(du_prim))
+    assert np.max(np.abs(du.data - du_prim)) <= tol * scale
+    # dl = l'(rho) drho = sqrt(K/rho) drho
+    dl_prim = np.sqrt(laws.K(s.rho.values) / s.rho.values) * drho
+    assert np.max(np.abs(dl.values - dl_prim)) <= tol * scale
 
 
 def test_nonlinearity_is_quadratic():
