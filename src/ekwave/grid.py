@@ -5,11 +5,19 @@ The grid is a uniform tensor-product lattice on the torus
 differential and nonlocal operators act through the discrete Fourier
 transform on this lattice; the wavenumbers are ``xi = 2*pi*k / L_i`` with
 integer ``k`` in ``[-N_i/2, N_i/2)``.
+
+Spectra come in two layouts.  The full layout is the ``fftn`` array of
+``grid.shape``.  The half layout is the ``rfftn`` array of a real field:
+the last axis keeps only its first ``N/2 + 1`` entries, the modes
+``0 .. N/2 - 1`` and the Nyquist mode, whose full-layout positions are the
+same.  :meth:`FourierGrid.ifft` tells the layouts apart by the length of
+the last axis.  Every transform is a ``scipy.fft`` call.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.fft
 
 from .errors import ComponentError, GridError
 
@@ -57,7 +65,7 @@ class FourierGrid:
         )
         # integer mode numbers in [-N/2, N/2), FFT layout
         self._modes = tuple(
-            np.fft.fftfreq(n, d=1.0 / n).astype(np.int64) for n in self.shape
+            scipy.fft.fftfreq(n, d=1.0 / n).astype(np.int64) for n in self.shape
         )
         self.wavenumbers = tuple(
             2.0 * np.pi * m / L for m, L in zip(self._modes, self.lengths)
@@ -82,6 +90,8 @@ class FourierGrid:
             keep = np.abs(m) <= n // 3
             mask &= keep.reshape([-1 if i == j else 1 for j in range(self.dim)])
         self.dealias_mask = mask
+        self.half_length = self.shape[-1] // 2 + 1
+        self._axes_idx = tuple(range(-self.dim, 0))
 
     def __eq__(self, other):
         return (
@@ -97,18 +107,28 @@ class FourierGrid:
         return f"FourierGrid(shape={self.shape}, lengths={self.lengths})"
 
     # -- transforms -----------------------------------------------------
-    @property
-    def _axes_idx(self):
-        return tuple(range(-self.dim, 0))
-
-    def fft(self, values):
-        """Forward transform over the last ``dim`` axes."""
-        return np.fft.fftn(values, axes=self._axes_idx)
+    def fft(self, values, half=False):
+        """Forward transform over the last ``dim`` axes; ``half=True`` gives
+        the half layout of real ``values``."""
+        if half:
+            return scipy.fft.rfftn(values, axes=self._axes_idx)
+        return scipy.fft.fftn(values, axes=self._axes_idx)
 
     def ifft(self, spectrum, real=False):
-        """Inverse transform; ``real=True`` drops the imaginary round-off."""
-        out = np.fft.ifftn(spectrum, axes=self._axes_idx)
+        """Inverse transform of either layout.
+
+        A half-layout spectrum always gives real samples; on the full layout
+        ``real=True`` drops the imaginary round-off.
+        """
+        if spectrum.shape[-1] == self.half_length:
+            return scipy.fft.irfftn(spectrum, s=self.shape, axes=self._axes_idx)
+        out = scipy.fft.ifftn(spectrum, axes=self._axes_idx)
         return out.real if real else out
+
+    def half(self, grid_array):
+        """A per-grid array in the half layout: the first N/2 + 1 entries of
+        its last axis, where both layouts agree."""
+        return grid_array[..., :self.half_length]
 
     def kaxis_diff(self, i):
         """Broadcastable wavenumber array for axis ``i``, Nyquist coefficient zeroed."""
@@ -120,14 +140,14 @@ class FourierGrid:
 
     def refine(self, values, factor=2):
         """Spectrally interpolate onto a ``factor``-times finer grid."""
-        spec = np.fft.fftshift(self.fft(values), axes=self._axes_idx)
+        spec = scipy.fft.fftshift(self.fft(values), axes=self._axes_idx)
         pad = [(0, 0)] * (spec.ndim - self.dim)
         for n in self.shape:
             before = (factor * n - n) // 2
             pad.append((before, factor * n - n - before))
         spec = np.pad(spec, pad)
-        spec = np.fft.ifftshift(spec, axes=self._axes_idx)
-        out = np.fft.ifftn(spec, axes=self._axes_idx) * factor**self.dim
+        spec = scipy.fft.ifftshift(spec, axes=self._axes_idx)
+        out = scipy.fft.ifftn(spec, axes=self._axes_idx) * factor**self.dim
         if np.isrealobj(values):
             out = out.real
         return out

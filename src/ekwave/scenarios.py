@@ -8,6 +8,7 @@ round-trips byte-identically and is hashed into the report digest.
 
 from __future__ import annotations
 
+import copy
 import csv
 import dataclasses
 import hashlib
@@ -37,6 +38,22 @@ _DATA_KEYS = {f.name for f in dataclasses.fields(initial_data.InitialDataSpec)}
 _SOLVER_KEYS = {f.name for f in dataclasses.fields(solver.SolverConfig)}
 _TOP_KEYS = {"schema_version", "scenario", "grid", "laws", "initial_data",
              "solver", "seed", "params"}
+# the params each runner reads, with their defaults, which the runners
+# take from here (see _params); any other key is a config error, so a
+# misspelt key cannot silently run with the default
+_DEFAULT_PARAMS = {
+    "simulate": {},
+    # the packet leaves its near-field transient around t ~ width^2,
+    # so the fit window starts well past that
+    "dispersion": {"carrier": 1.0, "width": 4.0, "t_min": 30.0, "t_max": 150.0,
+                   "n_samples": 24},
+    "lifespan": {"eps": 0.05, "deltas": [0.04, 0.02, 0.01, 0.0], "T_max": 10.0,
+                 "envelope_C": 1.3},
+    "blowup": {"dt": 1e-4, "forward_time": 0.25, "width": 1.0},
+    "normalform": {"eps_list": [0.02, 0.01, 0.005]},
+    "resonance": {"eps_list": [0.1, 0.05, 0.02, 0.01], "eta": 0.01},
+    "ode": {"eps": 0.05, "deltas": [0.1, 0.05, 0.025, 0.0125], "y0_comparison": 0.1},
+}
 
 
 def _check_keys(d, allowed, where):
@@ -74,9 +91,10 @@ class ScenarioConfig:
         seed = d.get("seed", 0)
         if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
             raise ConfigError(f"seed must be an integer, got {seed!r}")
+        params = dict(d.get("params", {}))
+        _check_keys(params, set(_DEFAULT_PARAMS[scenario]), f"params of {scenario}")
         return cls(scenario=scenario, grid=grid, laws=laws, initial_data=data,
-                   solver=solver_cfg, seed=int(seed),
-                   params=dict(d.get("params", {})))
+                   solver=solver_cfg, seed=int(seed), params=params)
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -224,30 +242,17 @@ def default_config(scenario: str) -> ScenarioConfig:
                          "solenoidal": 0.0, "band_limit": 4.0},
         "solver": {"dt": 1e-3, "t_end": 0.5},
         "seed": 20260823,
-        "params": {},
+        "params": copy.deepcopy(_DEFAULT_PARAMS[scenario]),
     }
     if scenario == "dispersion":
         base["grid"] = {"shape": [4096], "lengths": [400.0 * np.pi]}
-        # the packet leaves its near-field transient around t ~ width^2,
-        # so the fit window starts well past that
-        base["params"] = {"carrier": 1.0, "width": 4.0, "t_min": 30.0,
-                          "t_max": 150.0, "n_samples": 24}
     elif scenario == "lifespan":
         base["grid"] = {"shape": [128, 128], "lengths": [2.0 * np.pi, 2.0 * np.pi]}
         base["solver"] = {"dt": 0.01, "t_end": 10.0}
-        base["params"] = {"eps": 0.05, "deltas": [0.04, 0.02, 0.01, 0.0],
-                          "T_max": 10.0, "envelope_C": 1.3}
     elif scenario == "blowup":
         base["grid"] = {"shape": [512], "lengths": [20.0 * np.pi]}
-        base["params"] = {"dt": 1e-4, "forward_time": 0.25, "width": 1.0}
     elif scenario == "normalform":
         base["grid"] = {"shape": [256], "lengths": [2.0 * np.pi]}
-        base["params"] = {"eps_list": [0.02, 0.01, 0.005]}
-    elif scenario == "resonance":
-        base["params"] = {"eps_list": [0.1, 0.05, 0.02, 0.01], "eta": 0.01}
-    elif scenario == "ode":
-        base["params"] = {"eps": 0.05, "deltas": [0.1, 0.05, 0.025, 0.0125],
-                          "y0_comparison": 0.1}
     elif scenario == "simulate":
         base["solver"] = {"dt": 1e-4, "t_end": 0.2, "snapshot_stride": 200}
     return ScenarioConfig.from_dict(base)
@@ -277,17 +282,21 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Optional[str] = None) -> Scenario
     return report
 
 
+def _params(cfg):
+    # the scenario's params over their defaults
+    return {**_DEFAULT_PARAMS[cfg.scenario], **cfg.params}
+
+
 def _run_dispersion(cfg, report):
     grid = cfg.build_grid()
-    p = cfg.params
-    carrier = float(p.get("carrier", 1.0))
-    width = float(p.get("width", 4.0))
+    p = _params(cfg)
+    carrier = float(p["carrier"])
+    width = float(p["width"])
     packet = initial_data.wave_packet(grid, carrier, width)
     cutoff = initial_data.packet_cutoff(carrier, width)
     t_wrap = diagnostics.wrap_time(grid, cutoff)
-    times = np.geomspace(float(p.get("t_min", 5.0)),
-                         min(float(p.get("t_max", 150.0)), 0.95 * t_wrap),
-                         int(p.get("n_samples", 24)))
+    times = np.geomspace(float(p["t_min"]), min(float(p["t_max"]), 0.95 * t_wrap),
+                         int(p["n_samples"]))
     rows = []
     spec0 = packet.spectral
     for t in times:
@@ -309,11 +318,10 @@ def _run_lifespan(cfg, report):
     grid = cfg.build_grid()
     laws = cfg.build_laws()
     scfg = cfg.build_solver()
-    p = cfg.params
+    p = _params(cfg)
     rows = solver.lifespan_experiment(
-        float(p.get("eps", 0.05)), list(p.get("deltas", [0.04, 0.02, 0.01, 0.0])),
-        grid, laws, scfg, cfg.seed, float(p.get("T_max", scfg.t_end)),
-        envelope_C=float(p.get("envelope_C", 1.3)),
+        float(p["eps"]), list(p["deltas"]), grid, laws, scfg, cfg.seed, float(p["T_max"]),
+        envelope_C=float(p["envelope_C"]),
         band_limit=float(cfg.initial_data.get("band_limit", 4.0)))
     report.tables["lifespan"] = rows
     positive = [r for r in rows if r["delta"] > 0]
@@ -338,10 +346,9 @@ def _run_lifespan(cfg, report):
 def _run_blowup(cfg, report):
     grid = cfg.build_grid()
     laws = cfg.build_laws()
-    p = cfg.params
-    w0 = gp.gaussian_notch(grid, width=float(p.get("width", 1.0)))
-    rep = gp.blowup_experiment(w0, laws, dt=float(p.get("dt", 1e-4)),
-                               forward_time=float(p.get("forward_time", 0.25)))
+    p = _params(cfg)
+    w0 = gp.gaussian_notch(grid, width=float(p["width"]))
+    rep = gp.blowup_experiment(w0, laws, dt=float(p["dt"]), forward_time=float(p["forward_time"]))
     report.tables["grad_u"] = [{"t": t, "max_grad_u": g}
                                for t, g in zip(rep.grad_u_times, rep.grad_u_history)]
     report.fitted = {
@@ -369,8 +376,7 @@ def _run_blowup(cfg, report):
 def _run_normalform(cfg, report):
     grid = cfg.build_grid()
     laws = cfg.build_laws()
-    p = cfg.params
-    eps_list = [float(e) for e in p.get("eps_list", [0.02, 0.01, 0.005])]
+    eps_list = [float(e) for e in _params(cfg)["eps_list"]]
     spec = cfg.build_initial_spec()
     rows = []
     for eps in eps_list:
@@ -388,12 +394,12 @@ def _run_normalform(cfg, report):
 
 
 def _run_resonance(cfg, report):
-    p = cfg.params
-    eta_mag = float(p.get("eta", 0.01))
+    p = _params(cfg)
+    eta_mag = float(p["eta"])
     eta = np.zeros(3)
     eta[0] = eta_mag
     rows = []
-    for eps in [float(e) for e in p.get("eps_list", [0.1, 0.05, 0.02, 0.01])]:
+    for eps in [float(e) for e in p["eps_list"]]:
         omega = diagnostics.resonance_eval(eps * eta, eta, (-1, +1))
         asym = diagnostics.resonance_asymptotic(eps, eta)
         rows.append({"eps": eps, "omega": omega, "asymptotic": asym,
@@ -410,17 +416,15 @@ def _run_resonance(cfg, report):
 
 
 def _run_ode(cfg, report):
-    p = cfg.params
-    y0 = float(p.get("y0_comparison", 0.1))
+    p = _params(cfg)
+    y0 = float(p["y0_comparison"])
     T_cmp, censored = toyode.lifespan(0.0, y0, comparison=True)
     report.add_verdict("comparison_lifespan", T_cmp, 1.0 / y0, 0.01,
                        (not censored) and abs(T_cmp - 1.0 / y0) <= 0.01)
     ok, margin = toyode.ansatz_envelopes(1.0 / 16.0, 1.0 / 16.0)
     report.add_verdict("ansatz_envelopes", margin, None, 0.0, ok)
-    rows, slope = toyode.lifespan_sweep(float(p.get("eps", 0.05)),
-                                        [float(d) for d in p.get(
-                                            "deltas", [0.1, 0.05, 0.025, 0.0125])])
-    report.tables["sweep"] = [{"x0": float(p.get("eps", 0.05)), "y0": d,
+    rows, slope = toyode.lifespan_sweep(float(p["eps"]), [float(d) for d in p["deltas"]])
+    report.tables["sweep"] = [{"x0": float(p["eps"]), "y0": d,
                                "T_obs": T, "censored": c}
                               for d, T, c in rows]
     report.fitted = {"scaling_exponent": slope}
@@ -455,10 +459,15 @@ def _run_simulate(cfg, report, out_dir=None):
     mass_drift = max(abs(r["mass"] - m0) for r in rows) / abs(m0)
     ham_drift = max(abs(r["hamiltonian"] - h0) for r in rows) / max(abs(h0), 1e-300)
     report.fitted = {"mass_drift": mass_drift, "hamiltonian_drift": ham_drift,
-                     "termination": traj.termination}
-    report.add_verdict("mass_drift", mass_drift, 0.0, 1e-10, mass_drift <= 1e-10)
-    report.add_verdict("terminated_normally", float(traj.termination == "reached_t_end"),
-                       1.0, 0.0, traj.termination == "reached_t_end")
+                     "termination": traj.termination, "steps": traj.steps}
+    # a run that took no step has no evidence for either verdict
+    stepped = traj.steps > 0
+    provenance = "measured" if stepped else "inconclusive"
+    report.add_verdict("mass_drift", mass_drift, 0.0, 1e-10,
+                       stepped and mass_drift <= 1e-10, provenance)
+    normal = traj.termination == "reached_t_end"
+    report.add_verdict("terminated_normally", float(normal), 1.0, 0.0, stepped and normal,
+                       provenance)
 
 
 _RUNNERS = {

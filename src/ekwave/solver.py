@@ -5,8 +5,11 @@ the complex dispersive variable ``psi = Q u + i U^{-1} w``, the solenoidal
 velocity ``P u`` and the mean of ``l``.  The scheme is Strang splitting:
 the linear half-waves ``spectral.linear_flow(grid, dt/2)`` are applied
 exactly in Fourier space, and the remaining quadratic tendencies, always
-dealiased by the 2/3 rule, are advanced with classical RK4.  Velocity
-gradients come from ``spectral.jacobian``.  One driver steps every run:
+dealiased by the 2/3 rule, are advanced with classical RK4.
+:func:`step_encoded` takes and returns full-layout spectra and runs the
+step on the half layout of ``states.split``, where every transform is
+real-to-complex or complex-to-real.  Velocity gradients come from
+``spectral.jacobian``.  One driver steps every run:
 ``simulate`` and ``lifespan_experiment`` differ only in the monitor's
 sample stride, the states they keep and an optional extra stop rule.  The
 primitive-variable (rho, u) right-hand side, in any dimension, is kept as
@@ -15,6 +18,7 @@ a cross-check.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field as dataclass_field
 from typing import List
 
@@ -32,7 +36,18 @@ from .spectral import (
     proj_q_spec,
     symbol_u_inv,
 )
-from .states import EKState, ExtendedState, decode, encode, to_extended, unpack
+from .states import (
+    EKState,
+    ExtendedState,
+    decode,
+    encode,
+    join,
+    split,
+    to_extended,
+    unfold,
+    unpack,
+    unpack_half,
+)
 
 RK4_STABILITY = 2.8
 
@@ -58,6 +73,7 @@ class Trajectory:
     times: List[float] = dataclass_field(default_factory=list)
     states: List[ExtendedState] = dataclass_field(default_factory=list)
     termination: str = ""
+    steps: int = 0
     min_rho_history: List[float] = dataclass_field(default_factory=list)
     criterion_history: List[float] = dataclass_field(default_factory=list)
 
@@ -74,66 +90,60 @@ class Trajectory:
 # tendencies
 # ---------------------------------------------------------------------------
 
-class _Work:
-    """Physical-space reconstruction of one (psi, Pu, lmean) triple."""
-
-    __slots__ = ("qu", "qu_spec", "w", "w_spec", "rho", "a", "gp", "pu", "u", "divqu")
-
-    def __init__(self, grid, laws, psi_spec, pu_spec, lmean):
-        self.qu, self.qu_spec, self.w_spec, l_spec = unpack(grid, psi_spec, lmean)
-        self.w = grid.ifft(self.w_spec, real=True)
-        self.rho = laws.rho_of_l(grid.ifft(l_spec, real=True))
-        laws.check_density(self.rho, "tendency evaluation")
-        self.a = laws.a(self.rho)
-        # pressure slope with respect to the potential variable:
-        # d g(rho(l)) / dl = g'(rho) drho/dl = g'(rho) rho / a(rho)
-        self.gp = laws.dg(self.rho) * self.rho / self.a
-        self.pu = grid.ifft(pu_spec, real=True)
-        self.u = self.pu + self.qu
-        self.divqu = grid.ifft(div_spec(grid, self.qu_spec), real=True)
-
-
 def _dealias_fft(grid, phys, on):
-    spec = grid.fft(phys)
-    return spec * grid.dealias_mask if on else spec
+    spec = grid.fft(phys, half=True)
+    if on:
+        spec *= grid.half(grid.dealias_mask)
+    return spec
 
 
 def nonlinear_tendencies(grid: FourierGrid, laws: ConstitutiveLaws,
-                         psi_spec, pu_spec, lmean, dealias=True, work=None):
-    """Quadratic-and-higher tendencies of (psi, Pu, mean l).
+                         plus, minus, pu_spec, lmean, dealias=True):
+    """Quadratic-and-higher tendencies of the half-layout unknowns.
 
-    The linear half-wave part ``i H psi`` is excluded; it is applied
-    exactly by the splitting.  Returns ``(dpsi, dPu, dlmean)`` with the
-    field tendencies in spectral form.  ``work`` is the triple's
-    :class:`_Work`, when the caller has built it already.
+    The unknowns are those of :func:`ekwave.states.split`: the half spectra
+    ``plus``/``minus`` of ``Qu +- i U^{-1} w``, of Pu, and the mean of l.
+    The linear half-wave part ``+- i H`` is excluded; it is applied exactly
+    by the splitting.  Returns ``(dplus, dminus, dPu, dlmean)`` with the
+    field tendencies as half spectra, so every transform is real-to-complex
+    or complex-to-real.
     """
-    if work is None:
-        work = _Work(grid, laws, psi_spec, pu_spec, lmean)
-    u_dot_w = np.sum(work.u * work.w, axis=0)
+    qu_spec, w_spec, l_spec = unpack_half(grid, plus, minus, lmean)
+    qu = grid.ifft(qu_spec)
+    w = grid.ifft(w_spec)
+    rho = laws.rho_of_l(grid.ifft(l_spec))
+    laws.check_density(rho, "tendency evaluation")
+    a = laws.a(rho)
+    # pressure slope with respect to the potential variable:
+    # d g(rho(l)) / dl = g'(rho) drho/dl = g'(rho) rho / a(rho)
+    gp = laws.dg(rho) * rho / a
+    pu = grid.ifft(pu_spec)
+    u = pu + qu
+    grad_qu = jacobian(grid, qu_spec)
+    divqu = np.trace(grad_qu)
+    u_dot_w = np.sum(u * w, axis=0)
 
     # potential equation: full dl = -u.w - a div(Qu); linear part -div(Qu)
-    dl_full = -u_dot_w - work.a * work.divqu
-    dlmean = float(np.mean(dl_full))
-    nl_l = -u_dot_w + (1.0 - work.a) * work.divqu
-    dw_nl = grad_spec(grid, _dealias_fft(grid, nl_l, dealias))
+    dlmean = float(np.mean(-u_dot_w - a * divqu))
+    dw_nl = grad_spec(grid, _dealias_fft(grid, -u_dot_w + (1.0 - a) * divqu, dealias))
 
     # advective coupling through the solenoidal part
     # u.grad Pu + Pu.grad Qu; Qu.grad Qu = grad|Qu|^2/2 is in quad below
-    adv = (np.einsum("i...,ij...->j...", work.u, jacobian(grid, pu_spec))
-           + np.einsum("i...,ij...->j...", work.pu, jacobian(grid, work.qu_spec)))
+    adv = (np.einsum("i...,ij...->j...", u, jacobian(grid, pu_spec))
+           + np.einsum("i...,ij...->j...", pu, grad_qu))
     adv_spec = _dealias_fft(grid, adv, dealias)
 
-    quad = 0.5 * (np.sum(work.qu * work.qu, axis=0) - np.sum(work.w * work.w, axis=0))
-    n_spec = proj_q_spec(grid, adv_spec) + grad_spec(grid, _dealias_fft(grid, quad, dealias))
+    # the gradient terms grad((a - 1) div w - quad) share one transform
+    quad = 0.5 * (np.sum(qu * qu, axis=0) - np.sum(w * w, axis=0))
+    divw = grid.ifft(div_spec(grid, w_spec))
+    grad_terms = grad_spec(grid, _dealias_fft(grid, (a - 1.0) * divw - quad, dealias))
+    relax_spec = _dealias_fft(grid, (2.0 - gp) * w, dealias)
 
-    divw = grid.ifft(div_spec(grid, work.w_spec), real=True)
-    stiff_spec = grad_spec(grid, _dealias_fft(grid, (work.a - 1.0) * divw, dealias))
-    relax_spec = _dealias_fft(grid, (2.0 - work.gp) * work.w, dealias)
-
-    dqu_nl = proj_q_spec(grid, -n_spec + stiff_spec + relax_spec)
-    dpsi = dqu_nl + 1j * symbol_u_inv(grid) * dw_nl
+    # dQu gets -Q(adv); Q is idempotent, so one projection of the sum does
+    dqu_nl = proj_q_spec(grid, -adv_spec + grad_terms + relax_spec)
+    dw_term = 1j * grid.half(symbol_u_inv(grid)) * dw_nl
     dpu = -proj_p_spec(grid, adv_spec)
-    return dpsi, dpu, dlmean
+    return dqu_nl + dw_term, dqu_nl - dw_term, dpu, dlmean
 
 
 def rhs_extended(s: ExtendedState, laws: ConstitutiveLaws, dealias=True):
@@ -141,21 +151,22 @@ def rhs_extended(s: ExtendedState, laws: ConstitutiveLaws, dealias=True):
 
     ``dw`` is computed as the spectral gradient of ``dl``, so the
     gradient structure of w is preserved exactly at the level of the
-    right-hand side.
+    right-hand side.  ``dl`` is the primitive of ``dw`` plus the mean
+    tendency, which is how the encoded state carries l.
     """
     grid = s.grid
     psi_spec, pu_spec, lmean = encode(s)
-    work = _Work(grid, laws, psi_spec, pu_spec, lmean)
-    dpsi, dpu, _ = nonlinear_tendencies(grid, laws, psi_spec, pu_spec, lmean, dealias, work)
-
-    dl_full = -np.sum(work.u * work.w, axis=0) - work.a * work.divqu
-    dl_spec = _dealias_fft(grid, dl_full, dealias)
-
-    # full Qu tendency: add the linear (Laplacian - 2) w part to the
-    # nonlinear piece carried in Re(dpsi)
-    lin_qu = -(grid.k_squared + 2.0) * work.w_spec
-    dqu_spec = grid.fft(grid.ifft(dpsi).real)
-    du_spec = dqu_spec + lin_qu + dpu
+    plus, minus, pu_half = split(grid, psi_spec, pu_spec)
+    dplus, dminus, dpu, dlmean = nonlinear_tendencies(grid, laws, plus, minus, pu_half,
+                                                      lmean, dealias)
+    qu_spec, w_spec, _ = unpack_half(grid, plus, minus, lmean)
+    dqu_nl, _, dl_nl = unpack_half(grid, dplus, dminus, dlmean)
+    # add the linear parts: -div(Qu) to dl and (Laplacian - 2) w to dQu
+    lin_l = div_spec(grid, qu_spec)
+    if dealias:
+        lin_l = lin_l * grid.half(grid.dealias_mask)
+    dl_spec = unfold(grid, dl_nl - lin_l)
+    du_spec = unfold(grid, dqu_nl - (grid.half(grid.k_squared) + 2.0) * w_spec + dpu)
 
     dl = Field.from_spectral(grid, dl_spec[None], real=True)
     dw = Field.from_spectral(grid, grad_spec(grid, dl_spec), real=True)
@@ -192,33 +203,51 @@ def _check_dt(s: ExtendedState, cfg: SolverConfig, laws: ConstitutiveLaws):
             raise StabilityError(f"dt = {cfg.dt:.3e} exceeds estimated bound {bound:.3e}")
 
 
+@functools.lru_cache(maxsize=16)
+def _half_wave(grid, dt):
+    # e^{i(dt/2)H} on the half lattice: it rotates each mode's pair
+    # (Qu, U^{-1}w) by the angle (dt/2)H, so plus gains the phase and
+    # minus its conjugate
+    out = np.ascontiguousarray(grid.half(linear_flow(grid, dt / 2.0)))
+    conj = out.conj()
+    out.flags.writeable = conj.flags.writeable = False
+    return out, conj
+
+
 def step_encoded(grid, laws, cfg, psi, pu, lmean):
-    """One Strang step: exact half-wave, RK4 on the nonlinear tendencies, half-wave."""
+    """One Strang step: exact half-wave, RK4 on the nonlinear tendencies, half-wave.
+
+    Takes and returns full-layout spectra; the step itself runs on the half
+    layout of :func:`ekwave.states.split`.
+    """
     dt = cfg.dt
     if dt == 0.0:
         return psi, pu, lmean
 
-    def f(p, q, m):
-        return nonlinear_tendencies(grid, laws, p, q, m)
+    def f(y):
+        return nonlinear_tendencies(grid, laws, *y)
 
-    half = linear_flow(grid, dt / 2.0)
-    psi = psi * half
-    k1 = f(psi, pu, lmean)
-    k2 = f(psi + 0.5 * dt * k1[0], pu + 0.5 * dt * k1[1], lmean + 0.5 * dt * k1[2])
-    k3 = f(psi + 0.5 * dt * k2[0], pu + 0.5 * dt * k2[1], lmean + 0.5 * dt * k2[2])
-    k4 = f(psi + dt * k3[0], pu + dt * k3[1], lmean + dt * k3[2])
-    psi = psi + (dt / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-    pu = pu + (dt / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-    lmean = lmean + (dt / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-    psi = psi * half
-    # enforce the representation invariants: Re psi potential, Im psi
-    # potential, Pu solenoidal
-    psi_phys = grid.ifft(psi)
-    psi = (proj_q_spec(grid, grid.fft(psi_phys.real))
-           + 1j * proj_q_spec(grid, grid.fft(psi_phys.imag)))
+    def add(y, c, k):
+        return tuple(a + c * b for a, b in zip(y, k))
+
+    phase, conj_phase = _half_wave(grid, dt)
+    plus, minus, pu = split(grid, psi, pu)
+    y = (plus * phase, minus * conj_phase, pu, lmean)
+    k1 = f(y)
+    k2 = f(add(y, 0.5 * dt, k1))
+    k3 = f(add(y, 0.5 * dt, k2))
+    k4 = f(add(y, dt, k3))
+    plus, minus, pu, lmean = (a + (dt / 6.0) * (b1 + 2 * b2 + 2 * b3 + b4)
+                              for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
+    # enforce the representation invariants: Qu and U^{-1}w potential,
+    # Pu solenoidal
+    plus = proj_q_spec(grid, plus * phase)
+    minus = proj_q_spec(grid, minus * conj_phase)
     pu = proj_p_spec(grid, pu)
-    if not (np.all(np.isfinite(psi)) and np.all(np.isfinite(pu)) and np.isfinite(lmean)):
+    if not (np.all(np.isfinite(plus)) and np.all(np.isfinite(minus))
+            and np.all(np.isfinite(pu)) and np.isfinite(lmean)):
         raise FloatingPointError("non-finite values after step")
+    psi, pu = join(grid, plus, minus, pu)
     return psi, pu, lmean
 
 
@@ -291,6 +320,7 @@ def _drive(ext, cfg, laws, t_end, sample_stride=1, keep_stride=None, stop=None) 
                     reason = stop(psi, pu, lmean)
         if reason or i == nsteps or (keep_stride and i % keep_stride == 0):
             record(i)
+    traj.steps = i
     traj.termination = reason or "reached_t_end"
     return traj
 

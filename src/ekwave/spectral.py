@@ -8,10 +8,12 @@ symbols at the heart of the linear theory are
 
 both vanishing at xi = 0; ``U^{-1}`` is set to zero on the mean mode.
 Symbols are computed once per grid (grids hash by shape and lengths) and
-returned read-only.  :func:`linear_flow` is the one linear group
-``e^{itH}``, :func:`jacobian` the one velocity gradient.  The Helmholtz
-projectors split a vector spectrum into divergence-free and gradient
-parts; on the mean mode both are defined as zero.
+returned read-only, in the full layout.  :func:`linear_flow` is the one
+linear group ``e^{itH}``, :func:`jacobian` the one velocity gradient.  The
+Helmholtz projectors split a vector spectrum into divergence-free and
+gradient parts; on the mean mode both are defined as zero.  The operators
+on spectra take either layout of :mod:`ekwave.grid` and slice the per-grid
+arrays to it.
 """
 
 from __future__ import annotations
@@ -86,13 +88,27 @@ def group_velocity(r):
 # differential operators and projectors on spectra
 # ---------------------------------------------------------------------------
 
+def _cut(grid_array, spec):
+    # a per-grid array in the layout of ``spec``: the half layout keeps the
+    # first N/2 + 1 entries of the last axis, where both layouts agree
+    return grid_array[..., :spec.shape[-1]]
+
+
+def _k_dot(grid, spec_vector):
+    # xi . v with the Nyquist-zeroed wavenumbers
+    return sum(_cut(grid.kaxis_diff(i), spec_vector) * spec_vector[i] for i in range(grid.dim))
+
+
 def grad_spec(grid, spec):
     """Spectral gradient: prepends an axis of ``dim`` derivatives to ``spec``."""
-    return np.stack([1j * grid.kaxis_diff(i) * spec for i in range(grid.dim)])
+    out = np.empty((grid.dim,) + spec.shape, dtype=complex)
+    for i in range(grid.dim):
+        np.multiply(1j * _cut(grid.kaxis_diff(i), spec), spec, out=out[i])
+    return out
 
 
 def div_spec(grid, spec_vector):
-    return sum(1j * grid.kaxis_diff(i) * spec_vector[i] for i in range(grid.dim))
+    return 1j * _k_dot(grid, spec_vector)
 
 
 def jacobian(grid, vec_spec):
@@ -106,9 +122,11 @@ def proj_q_spec(grid, spec_vector):
     Uses the Nyquist-zeroed wavenumbers so that Q is exactly idempotent
     and exactly the identity on outputs of :func:`grad_spec`.
     """
-    k2 = _k2_safe(grid)
-    kv = sum(grid.kaxis_diff(i) * spec_vector[i] for i in range(grid.dim))
-    out = np.stack([grid.kaxis_diff(i) * kv / k2 for i in range(grid.dim)])
+    kv = _k_dot(grid, spec_vector)
+    k2 = _cut(_k2_safe(grid), kv)
+    out = np.empty_like(spec_vector, dtype=complex)
+    for i in range(grid.dim):
+        np.divide(_cut(grid.kaxis_diff(i), kv) * kv, k2, out=out[i])
     zero = (0,) * grid.dim
     out[(Ellipsis,) + zero] = 0.0
     return out
@@ -123,7 +141,7 @@ def proj_p_spec(grid, spec_vector):
 
 def inverse_grad_spec(grid, spec_vector):
     """Scalar spectrum f with grad f = v for a gradient field v; zero mean."""
-    out = -1j * sum(grid.kaxis_diff(i) * spec_vector[i] for i in range(grid.dim)) / _k2_safe(grid)
+    out = -1j * _k_dot(grid, spec_vector) / _cut(_k2_safe(grid), spec_vector)
     zero = (0,) * grid.dim
     out[(Ellipsis,) + zero] = 0.0
     return out

@@ -12,6 +12,14 @@ Three equivalent descriptions of the same flow are used:
 map between (l, w, u) and psi; the solver, its monitor and the normal form
 all go through them.  :func:`normal_form` returns the encoded spectra with
 the quadratic change of unknown ``w -> w1`` applied inside psi.
+
+Inside a time step the solver carries the encoded spectra in the half
+layout of :mod:`ekwave.grid`: the pair ``Qu +- i U^{-1} w`` (``plus`` and
+``minus``, the half spectra of psi and of its complex conjugate) and the
+half spectrum of Pu.  :func:`split` and :func:`join` map between the
+layouts by index flips alone, so ``join(split(...))`` returns an encoded
+state bit for bit; :func:`unpack_half` gives the half spectra of Qu, w
+and l.
 """
 
 from __future__ import annotations
@@ -150,6 +158,53 @@ def decode(grid, psi_spec, pu_spec, lmean, time) -> ExtendedState:
     _, qu_spec, _, l_spec = unpack(grid, psi_spec, lmean)
     u_spec = proj_p_spec(grid, pu_spec) + proj_q_spec(grid, qu_spec)
     return _extended(grid, l_spec, u_spec, time)
+
+
+# ---------------------------------------------------------------------------
+# the half layout: (plus, minus, Pu) = half spectra of (Qu + iU^{-1}w, Qu - iU^{-1}w, Pu)
+# ---------------------------------------------------------------------------
+
+def _negate_leading(grid, x):
+    # x(-k) along every spatial axis but the last
+    axes = tuple(range(-grid.dim, -1))
+    return np.roll(np.flip(x, axes), 1, axes) if axes else x
+
+
+def unfold(grid, half, mirror=None):
+    """The full-layout spectrum that is ``half`` on the half lattice.
+
+    The other entries are ``conj(mirror(-xi))``; ``mirror`` defaults to
+    ``half``, which unfolds the half spectrum of a real field.
+    """
+    mirror = half if mirror is None else mirror
+    n, N = grid.half_length, grid.shape[-1]
+    full = np.empty(half.shape[:-1] + (N,), dtype=complex)
+    full[..., :n] = half
+    full[..., n:] = np.conj(_negate_leading(grid, mirror[..., N - n:0:-1]))
+    return full
+
+
+def split(grid, psi, pu):
+    """``(plus, minus, Pu)`` in the half layout from full-layout ``(psi, Pu)``.
+
+    ``plus`` is psi on the half lattice and ``minus`` is ``conj(psi(-xi))``
+    there; Pu is the spectrum of a real field, so its half is enough.
+    """
+    n, N = grid.half_length, grid.shape[-1]
+    minus = np.conj(_negate_leading(grid, psi[..., (-np.arange(n)) % N]))
+    return psi[..., :n].copy(), minus, pu[..., :n].copy()
+
+
+def join(grid, plus, minus, pu):
+    """Full-layout ``(psi, Pu)`` from the half layout; the inverse of :func:`split`."""
+    return unfold(grid, plus, minus), unfold(grid, pu)
+
+
+def unpack_half(grid, plus, minus, lmean):
+    """``(Qu, w, l)`` half spectra carried by ``plus``, ``minus`` and mean(l)."""
+    qu_spec = 0.5 * (plus + minus)
+    w_spec = grid.half(symbol_u(grid)) * (-0.5j * (plus - minus))
+    return qu_spec, w_spec, _l_spec(grid, w_spec, lmean)
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,10 @@ def test_config_rejects_unknown_keys():
         scenarios.ScenarioConfig.from_dict(d)
     with pytest.raises(ConfigError):
         scenarios.ScenarioConfig.from_dict({"scenario": "warp"})
+    d = scenarios.default_config("normalform").to_dict()
+    d["params"]["eps_lst"] = [0.1]
+    with pytest.raises(ConfigError):
+        scenarios.ScenarioConfig.from_dict(d)
 
 
 def test_config_override_paths():
@@ -237,15 +241,29 @@ def test_cli_config_error_exit_code(tmp_path):
     ['initial_data.amplitude="x"'],
     ["solver.dealias=false"],
     ["solver.check_stability=false"],
+    ["params.eps_lst=[0.1]"],
 ], ids=["unknown-key", "law-param-typo", "path-into-list", "non-integer-seed",
         "string-dt", "string-snapshot-stride", "string-rho-min-stop",
-        "string-amplitude", "removed-dealias-key", "removed-check-stability-key"])
+        "string-amplitude", "removed-dealias-key", "removed-check-stability-key",
+        "params-typo"])
 def test_cli_bad_override_exit_code(overrides, capsys):
     argv = ["simulate"]
     for ov in overrides:
         argv += ["--override", ov]
     assert cli.main(argv) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_cli_zero_step_simulate_is_inconclusive(tmp_path, capsys):
+    # dt > t_end: no step is taken, so neither verdict has any evidence
+    assert cli.main(["simulate", "--out", str(tmp_path), "--override", "solver.dt=0.5"]) == 1
+    report = json.loads((tmp_path / "simulate_report.json").read_text())
+    assert report["fitted"]["steps"] == 0
+    verdicts = {v["name"]: v for v in report["verdicts"]}
+    for name in ("mass_drift", "terminated_normally"):
+        assert not verdicts[name]["passed"]
+        assert verdicts[name]["provenance"] == "inconclusive"
+    assert "(inconclusive)" in capsys.readouterr().out
 
 
 def test_cli_verify_rejects_config_and_override(capsys):

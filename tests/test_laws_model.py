@@ -17,9 +17,13 @@ from ekwave.states import (
     encode,
     from_extended,
     invert_normal_form,
+    join,
     normal_form,
     normal_form_correction,
+    split,
     to_extended,
+    unpack,
+    unpack_half,
 )
 from ekwave.initial_data import InitialDataSpec, generate_initial_data
 
@@ -232,6 +236,22 @@ def test_psi_round_trip():
     assert np.max(np.abs(back.w.data - ext.w.data)) <= 1e-10
     assert np.max(np.abs(back.u.data - ext.u.data)) <= 1e-10
     assert np.max(np.abs(back.l.values - ext.l.values)) <= 1e-10
+
+
+@pytest.mark.parametrize("shape", [(64,), (32, 32), (16, 16, 16)], ids=["1d", "2d", "3d"])
+def test_split_join_round_trip_is_exact(shape):
+    g = FourierGrid(shape, 2 * np.pi)
+    spec = InitialDataSpec(amplitude=0.05, solenoidal=0.0 if g.dim == 1 else 0.04)
+    psi, pu, lmean = encode(to_extended(generate_initial_data(spec, g, QUANTUM, 5), QUANTUM))
+    plus, minus, pu_half = split(g, psi, pu)
+    assert plus.shape == minus.shape == pu_half.shape == (g.dim,) + g.shape[:-1] + (g.half_length,)
+    back_psi, back_pu = join(g, plus, minus, pu_half)
+    assert np.array_equal(back_psi, psi) and np.array_equal(back_pu, pu)
+    # the half spectra carry the same Qu and l as the full-layout codec
+    qu, _, _, l_spec = unpack(g, psi, lmean)
+    qu_half, _, l_half = unpack_half(g, plus, minus, lmean)
+    assert np.max(np.abs(g.ifft(qu_half) - qu)) <= 1e-14
+    assert np.max(np.abs(g.ifft(l_half) - g.ifft(l_spec, real=True))) <= 1e-14
 
 
 def test_psi_imaginary_part_is_potential():

@@ -9,7 +9,7 @@ from ekwave.laws import ConstitutiveLaws
 from ekwave import gp, scenarios, solver, states
 from ekwave.diagnostics import hamiltonian, mass
 from ekwave.initial_data import InitialDataSpec, generate_initial_data
-from ekwave.spectral import grad_spec, proj_p_spec
+from ekwave.spectral import div_spec, grad_spec, linear_flow, proj_p_spec
 
 QUANTUM = ConstitutiveLaws.quantum()
 POLYNOMIAL = ConstitutiveLaws.polynomial([1.0, 0.5])     # K = 1 + (rho - 1)/2
@@ -35,8 +35,10 @@ def test_steady_shear_has_zero_tendencies():
     y = g.meshgrid()[1]
     u = Field.vector(g, np.stack([np.sin(y), np.zeros(g.shape)]))
     ext = states.to_extended(states.EKState(Field.scalar(g, np.ones(g.shape)), u), QUANTUM)
-    dpsi, dpu, dlmean = solver.nonlinear_tendencies(g, QUANTUM, *solver.encode(ext))
-    assert np.max(np.abs(dpsi)) / g.npoints <= 1e-14
+    psi, pu, lmean = solver.encode(ext)
+    dplus, dminus, dpu, dlmean = solver.nonlinear_tendencies(g, QUANTUM, *states.split(g, psi, pu),
+                                                             lmean)
+    assert max(np.max(np.abs(dplus)), np.max(np.abs(dminus))) / g.npoints <= 1e-14
     assert np.max(np.abs(dpu)) / g.npoints <= 1e-14
     assert dlmean == 0.0
     for f in solver.rhs_extended(ext, QUANTUM):
@@ -99,12 +101,39 @@ def test_nonlinearity_is_quadratic():
     for eps in (0.04, 0.02):
         ext = states.to_extended(small_state(g, eps, seed=4), QUANTUM)
         psi_spec, pu_spec, lmean = solver.encode(ext)
-        dpsi_nl, _, _ = solver.nonlinear_tendencies(g, QUANTUM, psi_spec, pu_spec,
-                                                    lmean, dealias=False)
-        num = np.sqrt(np.sum(np.abs(dpsi_nl) ** 2))
-        den = np.sqrt(np.sum(np.abs(psi_spec) ** 2))
+        plus, minus, pu_half = states.split(g, psi_spec, pu_spec)
+        dplus, dminus, _, _ = solver.nonlinear_tendencies(g, QUANTUM, plus, minus, pu_half,
+                                                          lmean, dealias=False)
+        num = np.sqrt(np.sum(np.abs(dplus) ** 2) + np.sum(np.abs(dminus) ** 2))
+        den = np.sqrt(np.sum(np.abs(plus) ** 2) + np.sum(np.abs(minus) ** 2))
         ratios.append(num / den)
     assert 0.8 * 2.0 <= ratios[0] / ratios[1] <= 1.2 * 2.0
+
+
+def test_half_wave_is_the_linear_flow_on_the_half_layout():
+    g = FourierGrid((32, 32), (2 * np.pi, 2 * np.pi))
+    psi, pu, _ = solver.encode(states.to_extended(small_state(g, 0.05, 8, 0.04), QUANTUM))
+    plus, minus, pu_half = states.split(g, psi, pu)
+    phase, conj_phase = solver._half_wave(g, 0.6)
+    rotated, _ = states.join(g, plus * phase, minus * conj_phase, pu_half)
+    expected = psi * linear_flow(g, 0.3)
+    assert np.max(np.abs(rotated - expected)) <= 1e-15 * np.max(np.abs(expected))
+
+
+def test_step_encoded_returns_full_layout_spectra():
+    # the contract of the step's boundary: full fft-layout arrays of shape
+    # (dim, *grid.shape), with Pu Hermitian and divergence-free
+    g = FourierGrid((32, 32), (2 * np.pi, 2 * np.pi))
+    cfg = solver.SolverConfig(dt=0.01, t_end=1.0)
+    psi, pu, lmean = solver.encode(states.to_extended(small_state(g, 0.05, 13, 0.04), QUANTUM))
+    for _ in range(10):
+        psi, pu, lmean = solver.step_encoded(g, QUANTUM, cfg, psi, pu, lmean)
+        assert psi.shape == pu.shape == (g.dim,) + g.shape
+    scale = max(np.max(np.abs(psi)), np.max(np.abs(pu)))
+    mirrored = np.conj(np.roll(np.flip(pu, (1, 2)), 1, (1, 2)))
+    assert np.max(np.abs(pu - mirrored)) <= 1e-12 * scale
+    kmax = float(np.max(g.k_magnitude))
+    assert np.max(np.abs(div_spec(g, pu))) <= 1e-12 * kmax * scale
 
 
 def test_step_dt_zero_is_identity():
