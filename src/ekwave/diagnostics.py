@@ -1,13 +1,14 @@
 """Measurement machinery: norms, energies, decay fits, resonances, envelopes.
 
-Everything here is a pure function of fields and states; the solvers
-never depend on this module.
+Everything here is a pure function of fields and states.  The one solver
+use is the lifespan sweep's transport envelope, which measures Pu with
+:func:`norm`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -171,31 +172,6 @@ def gauge_energy(s: ExtendedState, laws: ConstitutiveLaws, n: int = 0) -> float:
                + np.sum(np.abs(p_part) ** 2, axis=0)
                + 2.0 * rn**2)
     return float(grid.integrate(density))
-
-
-@dataclass
-class EnergyLedger:
-    """Per-time conservation records accumulated by a simulation driver."""
-
-    times: List[float] = dataclass_field(default_factory=list)
-    mass: List[float] = dataclass_field(default_factory=list)
-    hamiltonian: List[float] = dataclass_field(default_factory=list)
-    gauge: List[dict] = dataclass_field(default_factory=list)
-    criterion: List[float] = dataclass_field(default_factory=list)
-
-    def append(self, t, m, h, gauges=None, criterion=0.0):
-        if self.times and t <= self.times[-1]:
-            raise ValueError("ledger times must be strictly increasing")
-        self.times.append(float(t))
-        self.mass.append(float(m))
-        self.hamiltonian.append(float(h))
-        self.gauge.append(dict(gauges or {}))
-        self.criterion.append(float(criterion))
-
-    def drift(self, series):
-        vals = getattr(self, series)
-        scale = max(abs(vals[0]), 1e-300)
-        return max(abs(v - vals[0]) for v in vals) / scale
 
 
 # ---------------------------------------------------------------------------

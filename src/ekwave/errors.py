@@ -70,5 +70,11 @@ def check_field_types(obj) -> None:
     """
     for f in dataclasses.fields(obj):
         value = getattr(obj, f.name)
-        if isinstance(value, bool) or not isinstance(value, _KINDS[f.type]):
+        if not is_kind(value, f.type):
             raise TypeError(f"{type(obj).__name__}.{f.name} must be {f.type}, got {value!r}")
+
+
+def is_kind(value, kind: str) -> bool:
+    """Whether ``value`` is of ``kind`` ("float": any real number, "int": any
+    integer, "str"), booleans excepted."""
+    return not isinstance(value, bool) and isinstance(value, _KINDS[kind])

@@ -213,11 +213,14 @@ class Field:
 
     @classmethod
     def from_spectral(cls, grid, spectrum, real=False):
+        """The field with spectrum ``spectrum`` in either layout; only a
+        full-layout spectrum is kept as its cached ``spectral``."""
         spectrum = np.asarray(spectrum, dtype=complex)
         if spectrum.ndim == grid.dim:
             spectrum = spectrum[None]
         data = grid.ifft(spectrum, real=real)
-        return cls(grid, data, _spectral=spectrum)
+        full = spectrum.shape[-grid.dim:] == grid.shape
+        return cls(grid, data, _spectral=spectrum if full else None)
 
     # -- views ----------------------------------------------------------
     @property

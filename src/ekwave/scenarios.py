@@ -21,7 +21,7 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 from . import diagnostics, gp, initial_data, solver, toyode
-from .errors import ConfigError, EkwaveError
+from .errors import ConfigError, EkwaveError, is_kind
 from .grid import FourierGrid
 from .laws import ConstitutiveLaws
 from .snapshots import save_snapshot
@@ -62,6 +62,20 @@ def _check_keys(d, allowed, where):
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
+def _check_params(params, scenario):
+    # each value takes the kind of its default: a real number, an integer,
+    # or a list of real numbers
+    for key, value in params.items():
+        default = _DEFAULT_PARAMS[scenario][key]
+        if isinstance(default, list):
+            ok = isinstance(value, list) and all(is_kind(x, "float") for x in value)
+        else:
+            ok = is_kind(value, type(default).__name__)
+        if not ok:
+            raise ConfigError(f"params.{key} of {scenario} must be of the kind of "
+                              f"{default!r}, got {value!r}")
+
+
 @dataclass
 class ScenarioConfig:
     scenario: str
@@ -93,6 +107,7 @@ class ScenarioConfig:
             raise ConfigError(f"seed must be an integer, got {seed!r}")
         params = dict(d.get("params", {}))
         _check_keys(params, set(_DEFAULT_PARAMS[scenario]), f"params of {scenario}")
+        _check_params(params, scenario)
         return cls(scenario=scenario, grid=grid, laws=laws, initial_data=data,
                    solver=solver_cfg, seed=int(seed), params=params)
 

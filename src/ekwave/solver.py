@@ -1,15 +1,17 @@
 """Time integration of the capillary-fluid dynamics.
 
-The working unknowns are the encoded spectra of :mod:`ekwave.states`:
-the complex dispersive variable ``psi = Q u + i U^{-1} w``, the solenoidal
-velocity ``P u`` and the mean of ``l``.  The scheme is Strang splitting:
-the linear half-waves ``spectral.linear_flow(grid, dt/2)`` are applied
-exactly in Fourier space, and the remaining quadratic tendencies, always
-dealiased by the 2/3 rule, are advanced with classical RK4.
-:func:`step_encoded` takes and returns full-layout spectra and runs the
-step on the half layout of ``states.split``, where every transform is
-real-to-complex or complex-to-real.  Velocity gradients come from
-``spectral.jacobian``.  One driver steps every run:
+The working unknowns are the encoded state of :mod:`ekwave.states`: the
+half spectra ``v`` of the pair (Qu, U^{-1} w), the real and imaginary
+parts of the dispersive variable ``psi = Q u + i U^{-1} w``, the half
+spectrum of the solenoidal velocity ``P u`` and the mean of ``l``.  The
+scheme is Strang splitting: the linear half-waves
+``spectral.linear_flow(grid, dt/2)`` are applied exactly in Fourier space,
+as a rotation of each mode's pair (Qu, U^{-1} w), and the remaining
+quadratic tendencies, always dealiased by the 2/3 rule, are advanced with
+classical RK4.  :func:`step_encoded` takes and returns the encoded state
+with no change of layout, and every transform is real-to-complex or
+complex-to-real.  Velocity gradients come from ``spectral.jacobian``.
+One loop, ``_drive``, steps every run:
 ``simulate`` and ``lifespan_experiment`` differ only in the monitor's
 sample stride, the states they keep and an optional extra stop rule.  The
 primitive-variable (rho, u) right-hand side, in any dimension, is kept as
@@ -36,18 +38,7 @@ from .spectral import (
     proj_q_spec,
     symbol_u_inv,
 )
-from .states import (
-    EKState,
-    ExtendedState,
-    decode,
-    encode,
-    join,
-    split,
-    to_extended,
-    unfold,
-    unpack,
-    unpack_half,
-)
+from .states import EKState, ExtendedState, decode, encode, to_extended, unpack
 
 RK4_STABILITY = 2.8
 
@@ -98,17 +89,15 @@ def _dealias_fft(grid, phys, on):
 
 
 def nonlinear_tendencies(grid: FourierGrid, laws: ConstitutiveLaws,
-                         plus, minus, pu_spec, lmean, dealias=True):
-    """Quadratic-and-higher tendencies of the half-layout unknowns.
+                         v, pu_spec, lmean, dealias=True):
+    """Quadratic-and-higher tendencies of the encoded state ``(v, Pu, mean l)``.
 
-    The unknowns are those of :func:`ekwave.states.split`: the half spectra
-    ``plus``/``minus`` of ``Qu +- i U^{-1} w``, of Pu, and the mean of l.
-    The linear half-wave part ``+- i H`` is excluded; it is applied exactly
-    by the splitting.  Returns ``(dplus, dminus, dPu, dlmean)`` with the
-    field tendencies as half spectra, so every transform is real-to-complex
-    or complex-to-real.
+    The linear half-wave part, ``(-H U^{-1} w, H Qu)`` in ``v``, is
+    excluded; it is applied exactly by the splitting.  Returns
+    ``(dv, dPu, dlmean)`` with the field tendencies as half spectra, so
+    every transform is real-to-complex or complex-to-real.
     """
-    qu_spec, w_spec, l_spec = unpack_half(grid, plus, minus, lmean)
+    qu_spec, w_spec, l_spec = unpack(grid, v, lmean)
     qu = grid.ifft(qu_spec)
     w = grid.ifft(w_spec)
     rho = laws.rho_of_l(grid.ifft(l_spec))
@@ -141,9 +130,8 @@ def nonlinear_tendencies(grid: FourierGrid, laws: ConstitutiveLaws,
 
     # dQu gets -Q(adv); Q is idempotent, so one projection of the sum does
     dqu_nl = proj_q_spec(grid, -adv_spec + grad_terms + relax_spec)
-    dw_term = 1j * grid.half(symbol_u_inv(grid)) * dw_nl
-    dpu = -proj_p_spec(grid, adv_spec)
-    return dqu_nl + dw_term, dqu_nl - dw_term, dpu, dlmean
+    dv = np.stack([dqu_nl, grid.half(symbol_u_inv(grid)) * dw_nl])
+    return dv, -proj_p_spec(grid, adv_spec), dlmean
 
 
 def rhs_extended(s: ExtendedState, laws: ConstitutiveLaws, dealias=True):
@@ -155,18 +143,16 @@ def rhs_extended(s: ExtendedState, laws: ConstitutiveLaws, dealias=True):
     tendency, which is how the encoded state carries l.
     """
     grid = s.grid
-    psi_spec, pu_spec, lmean = encode(s)
-    plus, minus, pu_half = split(grid, psi_spec, pu_spec)
-    dplus, dminus, dpu, dlmean = nonlinear_tendencies(grid, laws, plus, minus, pu_half,
-                                                      lmean, dealias)
-    qu_spec, w_spec, _ = unpack_half(grid, plus, minus, lmean)
-    dqu_nl, _, dl_nl = unpack_half(grid, dplus, dminus, dlmean)
+    v, pu_spec, lmean = encode(s)
+    dv, dpu, dlmean = nonlinear_tendencies(grid, laws, v, pu_spec, lmean, dealias)
+    qu_spec, w_spec, _ = unpack(grid, v, lmean)
+    dqu_nl, _, dl_nl = unpack(grid, dv, dlmean)
     # add the linear parts: -div(Qu) to dl and (Laplacian - 2) w to dQu
     lin_l = div_spec(grid, qu_spec)
     if dealias:
         lin_l = lin_l * grid.half(grid.dealias_mask)
-    dl_spec = unfold(grid, dl_nl - lin_l)
-    du_spec = unfold(grid, dqu_nl - (grid.half(grid.k_squared) + 2.0) * w_spec + dpu)
+    dl_spec = dl_nl - lin_l
+    du_spec = dqu_nl - (grid.half(grid.k_squared) + 2.0) * w_spec + dpu
 
     dl = Field.from_spectral(grid, dl_spec[None], real=True)
     dw = Field.from_spectral(grid, grad_spec(grid, dl_spec), real=True)
@@ -205,24 +191,24 @@ def _check_dt(s: ExtendedState, cfg: SolverConfig, laws: ConstitutiveLaws):
 
 @functools.lru_cache(maxsize=16)
 def _half_wave(grid, dt):
-    # e^{i(dt/2)H} on the half lattice: it rotates each mode's pair
-    # (Qu, U^{-1}w) by the angle (dt/2)H, so plus gains the phase and
-    # minus its conjugate
-    out = np.ascontiguousarray(grid.half(linear_flow(grid, dt / 2.0)))
-    conj = out.conj()
-    out.flags.writeable = conj.flags.writeable = False
-    return out, conj
+    # e^{i(dt/2)H} = cos + i sin on the half lattice: it rotates each
+    # mode's pair (Qu, U^{-1}w) by the angle (dt/2)H
+    flow = grid.half(linear_flow(grid, dt / 2.0))
+    cos, sin = np.ascontiguousarray(flow.real), np.ascontiguousarray(flow.imag)
+    cos.flags.writeable = sin.flags.writeable = False
+    return cos, sin
 
 
-def step_encoded(grid, laws, cfg, psi, pu, lmean):
-    """One Strang step: exact half-wave, RK4 on the nonlinear tendencies, half-wave.
-
-    Takes and returns full-layout spectra; the step itself runs on the half
-    layout of :func:`ekwave.states.split`.
-    """
+def step_encoded(grid, laws, cfg, v, pu, lmean):
+    """One Strang step of the encoded state ``(v, Pu, mean l)``: exact
+    half-wave, RK4 on the nonlinear tendencies, half-wave."""
     dt = cfg.dt
     if dt == 0.0:
-        return psi, pu, lmean
+        return v, pu, lmean
+    cos, sin = _half_wave(grid, dt)
+
+    def rotate(v):
+        return np.stack([cos * v[0] - sin * v[1], sin * v[0] + cos * v[1]])
 
     def f(y):
         return nonlinear_tendencies(grid, laws, *y)
@@ -230,39 +216,34 @@ def step_encoded(grid, laws, cfg, psi, pu, lmean):
     def add(y, c, k):
         return tuple(a + c * b for a, b in zip(y, k))
 
-    phase, conj_phase = _half_wave(grid, dt)
-    plus, minus, pu = split(grid, psi, pu)
-    y = (plus * phase, minus * conj_phase, pu, lmean)
+    y = (rotate(v), pu, lmean)
     k1 = f(y)
     k2 = f(add(y, 0.5 * dt, k1))
     k3 = f(add(y, 0.5 * dt, k2))
     k4 = f(add(y, dt, k3))
-    plus, minus, pu, lmean = (a + (dt / 6.0) * (b1 + 2 * b2 + 2 * b3 + b4)
-                              for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
+    v, pu, lmean = (a + (dt / 6.0) * (b1 + 2 * b2 + 2 * b3 + b4)
+                    for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
     # enforce the representation invariants: Qu and U^{-1}w potential,
     # Pu solenoidal
-    plus = proj_q_spec(grid, plus * phase)
-    minus = proj_q_spec(grid, minus * conj_phase)
+    v = np.stack([proj_q_spec(grid, x) for x in rotate(v)])
     pu = proj_p_spec(grid, pu)
-    if not (np.all(np.isfinite(plus)) and np.all(np.isfinite(minus))
-            and np.all(np.isfinite(pu)) and np.isfinite(lmean)):
+    if not (np.all(np.isfinite(v)) and np.all(np.isfinite(pu)) and np.isfinite(lmean)):
         raise FloatingPointError("non-finite values after step")
-    psi, pu = join(grid, plus, minus, pu)
-    return psi, pu, lmean
+    return v, pu, lmean
 
 
 def step(s: ExtendedState, cfg: SolverConfig, laws: ConstitutiveLaws) -> ExtendedState:
     """Advance one time step, returning a valid extended state."""
     _check_dt(s, cfg, laws)
-    psi, pu, lmean = step_encoded(s.grid, laws, cfg, *encode(s))
-    return decode(s.grid, psi, pu, lmean, s.time + cfg.dt)
+    v, pu, lmean = step_encoded(s.grid, laws, cfg, *encode(s))
+    return decode(s.grid, v, pu, lmean, s.time + cfg.dt)
 
 
-def _monitor(grid, laws, psi, pu, lmean):
+def _monitor(grid, laws, v, pu, lmean):
     """``(min rho, max|lap rho| + max|grad u|)`` of an encoded state."""
-    _, qu_spec, _, l_spec = unpack(grid, psi, lmean)
-    rho = laws.rho_of_l(grid.ifft(l_spec, real=True))
-    lap_rho = grid.ifft(-grid.k_squared * grid.fft(rho), real=True)
+    qu_spec, _, l_spec = unpack(grid, v, lmean)
+    rho = laws.rho_of_l(grid.ifft(l_spec))
+    lap_rho = grid.ifft(-grid.half(grid.k_squared) * grid.fft(rho, half=True))
     grad_u = jacobian(grid, pu + qu_spec)
     return float(np.min(rho)), float(np.max(np.abs(lap_rho))) + float(np.max(np.abs(grad_u)))
 
@@ -274,7 +255,7 @@ def _drive(ext, cfg, laws, t_end, sample_stride=1, keep_stride=None, stop=None) 
     after the last step.  The continuation criterion is the trapezoid
     integral of its rate over the elapsed time.  At each sample after t0
     the stop rules are tried in turn: vacuum (``rho_min_stop``), the
-    criterion cap, then ``stop(psi, pu, lmean)``, which returns a
+    criterion cap, then ``stop(v, pu, lmean)``, which returns a
     termination reason or None.  A step that fails ends the run as
     ``non_finite`` before them; a run none of them ends reaches ``t_end``.
     The time and the latest monitor sample are recorded at t0, every
@@ -282,11 +263,11 @@ def _drive(ext, cfg, laws, t_end, sample_stride=1, keep_stride=None, stop=None) 
     unless ``keep_stride`` is None.
     """
     grid = ext.grid
-    psi, pu, lmean = encode(ext)
+    v, pu, lmean = encode(ext)
     nsteps = int(round((t_end - ext.time) / cfg.dt)) if cfg.dt > 0 else 0
     traj = Trajectory()
     criterion = 0.0
-    min_rho, rate = _monitor(grid, laws, psi, pu, lmean)
+    min_rho, rate = _monitor(grid, laws, v, pu, lmean)
 
     def record(i):
         t = ext.time + i * cfg.dt
@@ -294,7 +275,7 @@ def _drive(ext, cfg, laws, t_end, sample_stride=1, keep_stride=None, stop=None) 
             return
         traj.times.append(t)
         if keep_stride is not None:
-            traj.states.append(decode(grid, psi, pu, lmean, t))
+            traj.states.append(decode(grid, v, pu, lmean, t))
         traj.min_rho_history.append(min_rho)
         traj.criterion_history.append(criterion)
 
@@ -303,13 +284,13 @@ def _drive(ext, cfg, laws, t_end, sample_stride=1, keep_stride=None, stop=None) 
     reason = "vacuum" if min_rho <= cfg.rho_min_stop else None
     while reason is None and i < nsteps:
         try:
-            psi, pu, lmean = step_encoded(grid, laws, cfg, psi, pu, lmean)
+            v, pu, lmean = step_encoded(grid, laws, cfg, v, pu, lmean)
         except (FloatingPointError, VacuumError):
             reason = "non_finite"
         else:
             i += 1
             if i % sample_stride == 0 or i == nsteps:
-                min_rho, new_rate = _monitor(grid, laws, psi, pu, lmean)
+                min_rho, new_rate = _monitor(grid, laws, v, pu, lmean)
                 criterion += 0.5 * (rate + new_rate) * (i - sampled) * cfg.dt
                 rate, sampled = new_rate, i
                 if min_rho <= cfg.rho_min_stop:
@@ -317,7 +298,7 @@ def _drive(ext, cfg, laws, t_end, sample_stride=1, keep_stride=None, stop=None) 
                 elif criterion >= cfg.criterion_cap:
                     reason = "criterion_cap"
                 elif stop is not None:
-                    reason = stop(psi, pu, lmean)
+                    reason = stop(v, pu, lmean)
         if reason or i == nsteps or (keep_stride and i % keep_stride == 0):
             record(i)
     traj.steps = i
@@ -413,7 +394,7 @@ def lifespan_experiment(eps, delta_list, grid, laws, cfg, seed, T_max,
         limit = envelope_C * field_norm(
             Field.from_spectral(grid, proj_p_spec(grid, ext.u.spectral), real=True), nspec)
 
-        def envelope(psi, pu, lmean):
+        def envelope(v, pu, lmean):
             transport = field_norm(Field.from_spectral(grid, pu, real=True), nspec)
             return "envelope" if transport > limit else None
 

@@ -5,21 +5,18 @@ Three equivalent descriptions of the same flow are used:
 * ``EKState``: primitive density/velocity pair (rho, u);
 * ``ExtendedState``: (l, w, u) with ``w = grad l`` and ``l`` the
   capillarity primitive of rho;
-* the encoded spectra ``(psi, Pu, mean l)`` with the complex dispersive
-  variable ``psi = Q u + i U^{-1} w``: the solver's unknowns.
+* the encoded state ``(v, Pu, mean l)``: the solver's unknowns.  ``v``
+  stacks the half spectra of Qu and U^{-1} w, the real and imaginary parts
+  of the complex dispersive variable ``psi = Q u + i U^{-1} w``; Pu is the
+  half spectrum of the solenoidal velocity.
 
-:func:`encode`, :func:`unpack` and :func:`decode` are the only places that
-map between (l, w, u) and psi; the solver, its monitor and the normal form
-all go through them.  :func:`normal_form` returns the encoded spectra with
-the quadratic change of unknown ``w -> w1`` applied inside psi.
-
-Inside a time step the solver carries the encoded spectra in the half
-layout of :mod:`ekwave.grid`: the pair ``Qu +- i U^{-1} w`` (``plus`` and
-``minus``, the half spectra of psi and of its complex conjugate) and the
-half spectrum of Pu.  :func:`split` and :func:`join` map between the
-layouts by index flips alone, so ``join(split(...))`` returns an encoded
-state bit for bit; :func:`unpack_half` gives the half spectra of Qu, w
-and l.
+Every encoded spectrum is in the half layout of :mod:`ekwave.grid`, so the
+real pair (Qu, U^{-1} w) is carried as is and every transform is
+real-to-complex or complex-to-real.  :func:`encode`, :func:`unpack` and
+:func:`decode` are the only places that map between (l, w, u) and the
+encoded state; the solver, its monitor and the normal form all go through
+them.  :func:`normal_form` returns the encoded state with the quadratic
+change of unknown ``w -> w1`` applied inside ``v``.
 """
 
 from __future__ import annotations
@@ -93,10 +90,10 @@ class ExtendedState:
 
 @dataclass
 class NormalForm:
-    """Encoded spectra ``(psi, Pu, mean l)`` with w1 in place of w inside psi."""
+    """Encoded spectra ``(v, Pu, mean l)`` with U^{-1} w1 in place of U^{-1} w in ``v[1]``."""
 
     grid: FourierGrid
-    psi: np.ndarray
+    v: np.ndarray
     pu: np.ndarray
     lmean: float
     time: float = 0.0
@@ -122,15 +119,27 @@ def from_extended(s: ExtendedState, laws: ConstitutiveLaws) -> EKState:
 
 
 # ---------------------------------------------------------------------------
-# the codec: (l, w, u) <-> (psi, Pu, mean l)
+# the codec: (l, w, u) <-> (v, Pu, mean l), all in the half layout
 # ---------------------------------------------------------------------------
 
 def encode(s: ExtendedState):
-    """``(psi, Pu, mean l)`` of an extended state, as spectra, with psi = Qu + i U^{-1} w."""
+    """``(v, Pu, mean l)`` of an extended state.
+
+    ``v`` of shape ``(2, dim, *half)`` stacks the half spectra of Qu and of
+    U^{-1} w, so psi = Qu + i U^{-1} w is ``ifft(v[0]) + i ifft(v[1])``; Pu
+    is a half spectrum of shape ``(dim, *half)``.
+    """
     grid = s.grid
-    u_spec = s.u.spectral
-    psi_spec = proj_q_spec(grid, u_spec) + 1j * symbol_u_inv(grid) * s.w.spectral
-    return psi_spec, proj_p_spec(grid, u_spec), float(s.l.mean()[0])
+    u_spec = grid.half(s.u.spectral)
+    v = np.stack([proj_q_spec(grid, u_spec),
+                  grid.half(symbol_u_inv(grid)) * grid.half(s.w.spectral)])
+    return v, proj_p_spec(grid, u_spec), float(s.l.mean()[0])
+
+
+def unpack(grid, v, lmean):
+    """``(Qu, w, l)`` half spectra carried by ``v`` and mean(l)."""
+    w_spec = grid.half(symbol_u(grid)) * v[1]
+    return v[0], w_spec, _l_spec(grid, w_spec, lmean)
 
 
 def _l_spec(grid, w_spec, lmean):
@@ -139,72 +148,16 @@ def _l_spec(grid, w_spec, lmean):
     return l_spec
 
 
-def unpack(grid, psi_spec, lmean):
-    """``(Qu, Qu spectrum, w spectrum, l spectrum)`` carried by psi and mean(l)."""
-    psi_phys = grid.ifft(psi_spec)
-    qu = psi_phys.real.copy()
-    w_spec = grid.fft(psi_phys.imag) * symbol_u(grid)
-    return qu, grid.fft(qu), w_spec, _l_spec(grid, w_spec, lmean)
-
-
 def _extended(grid, l_spec, u_spec, time):
     l = Field.from_spectral(grid, l_spec[None], real=True)
     w = Field.from_spectral(grid, grad_spec(grid, l_spec), real=True)
     return ExtendedState(l=l, w=w, u=Field.from_spectral(grid, u_spec, real=True), time=time)
 
 
-def decode(grid, psi_spec, pu_spec, lmean, time) -> ExtendedState:
-    """The extended state at ``time`` encoded by ``(psi, Pu, mean l)``."""
-    _, qu_spec, _, l_spec = unpack(grid, psi_spec, lmean)
-    u_spec = proj_p_spec(grid, pu_spec) + proj_q_spec(grid, qu_spec)
-    return _extended(grid, l_spec, u_spec, time)
-
-
-# ---------------------------------------------------------------------------
-# the half layout: (plus, minus, Pu) = half spectra of (Qu + iU^{-1}w, Qu - iU^{-1}w, Pu)
-# ---------------------------------------------------------------------------
-
-def _negate_leading(grid, x):
-    # x(-k) along every spatial axis but the last
-    axes = tuple(range(-grid.dim, -1))
-    return np.roll(np.flip(x, axes), 1, axes) if axes else x
-
-
-def unfold(grid, half, mirror=None):
-    """The full-layout spectrum that is ``half`` on the half lattice.
-
-    The other entries are ``conj(mirror(-xi))``; ``mirror`` defaults to
-    ``half``, which unfolds the half spectrum of a real field.
-    """
-    mirror = half if mirror is None else mirror
-    n, N = grid.half_length, grid.shape[-1]
-    full = np.empty(half.shape[:-1] + (N,), dtype=complex)
-    full[..., :n] = half
-    full[..., n:] = np.conj(_negate_leading(grid, mirror[..., N - n:0:-1]))
-    return full
-
-
-def split(grid, psi, pu):
-    """``(plus, minus, Pu)`` in the half layout from full-layout ``(psi, Pu)``.
-
-    ``plus`` is psi on the half lattice and ``minus`` is ``conj(psi(-xi))``
-    there; Pu is the spectrum of a real field, so its half is enough.
-    """
-    n, N = grid.half_length, grid.shape[-1]
-    minus = np.conj(_negate_leading(grid, psi[..., (-np.arange(n)) % N]))
-    return psi[..., :n].copy(), minus, pu[..., :n].copy()
-
-
-def join(grid, plus, minus, pu):
-    """Full-layout ``(psi, Pu)`` from the half layout; the inverse of :func:`split`."""
-    return unfold(grid, plus, minus), unfold(grid, pu)
-
-
-def unpack_half(grid, plus, minus, lmean):
-    """``(Qu, w, l)`` half spectra carried by ``plus``, ``minus`` and mean(l)."""
-    qu_spec = 0.5 * (plus + minus)
-    w_spec = grid.half(symbol_u(grid)) * (-0.5j * (plus - minus))
-    return qu_spec, w_spec, _l_spec(grid, w_spec, lmean)
+def decode(grid, v, pu_spec, lmean, time) -> ExtendedState:
+    """The extended state at ``time`` encoded by ``(v, Pu, mean l)``."""
+    qu_spec, _, l_spec = unpack(grid, v, lmean)
+    return _extended(grid, l_spec, pu_spec + qu_spec, time)
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +166,10 @@ def unpack_half(grid, plus, minus, lmean):
 
 def normal_form(s: ExtendedState, laws: ConstitutiveLaws) -> NormalForm:
     """Encode ``s`` with ``w1 = w - grad(B[w,w] - B[Qu,Qu])`` in place of w."""
-    psi, pu, lmean = encode(s)
-    psi = psi + 1j * symbol_u_inv(s.grid) * normal_form_correction(s, laws).spectral
-    return NormalForm(s.grid, psi, pu, lmean, s.time)
+    grid = s.grid
+    v, pu, lmean = encode(s)
+    v[1] += grid.half(symbol_u_inv(grid)) * grid.half(normal_form_correction(s, laws).spectral)
+    return NormalForm(grid, v, pu, lmean, s.time)
 
 
 def invert_normal_form(d: NormalForm, laws: ConstitutiveLaws,
@@ -225,16 +179,18 @@ def invert_normal_form(d: NormalForm, laws: ConstitutiveLaws,
     Returns ``(state, iterations)``.
     """
     grid = d.grid
-    _, qu_spec, w1_spec, _ = unpack(grid, d.psi, d.lmean)
+    qu_spec, w1_spec, _ = unpack(grid, d.v, d.lmean)
     w_spec, iters = w1_spec, 0
     if laws.strength != 0.0:
-        qu = Field.from_spectral(grid, qu_spec, real=True)
-        qu_corr = grad_spec(grid, bilinear_B(qu, qu, laws.strength).spectral[0])
+
+        def grad_b(f_spec):
+            f = Field.from_spectral(grid, f_spec)
+            return grad_spec(grid, grid.fft(bilinear_B(f, f, laws.strength).values, half=True))
+
+        qu_corr = grad_b(qu_spec)
         scale = max(float(np.max(np.abs(w1_spec))) / grid.npoints, 1e-300)
         for iters in range(1, max_iter + 1):
-            w_field = Field.from_spectral(grid, w_spec, real=True)
-            bww = bilinear_B(w_field, w_field, laws.strength)
-            new_spec = w1_spec + grad_spec(grid, bww.spectral[0]) - qu_corr
+            new_spec = w1_spec + grad_b(w_spec) - qu_corr
             step = float(np.max(np.abs(new_spec - w_spec))) / grid.npoints
             w_spec = new_spec
             if step <= tol * max(scale, 1.0):

@@ -168,16 +168,6 @@ def test_gauge_energy_derivative_budget():
         diag.gauge_energy(to_extended(s, QUANTUM), QUANTUM, n=3)
 
 
-def test_energy_ledger():
-    led = diag.EnergyLedger()
-    led.append(0.0, 1.0, 2.0)
-    led.append(0.1, 1.0, 2.002)
-    with pytest.raises(ValueError):
-        led.append(0.1, 1.0, 2.0)
-    assert led.drift("mass") == 0.0
-    assert abs(led.drift("hamiltonian") - 0.001) <= 1e-12
-
-
 # ---------------------------------------------------------------------------
 # decay fitting
 # ---------------------------------------------------------------------------

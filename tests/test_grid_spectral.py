@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ekwave.diagnostics import norm
 from ekwave.errors import GridError
 from ekwave.grid import Field, FourierGrid
 from ekwave.spectral import (
@@ -81,6 +82,18 @@ def test_real_field_spectrum_hermitian():
     # F(-k) == conj(F(k))
     flipped = np.conj(np.roll(spec[::-1], 1))
     assert np.max(np.abs(spec - flipped)) <= 1e-10 * np.max(np.abs(spec))
+
+
+def test_from_spectral_on_a_half_spectrum_caches_only_the_full_layout():
+    # a field built from its rfftn half spectrum has the right samples and
+    # a full-layout spectral, so operators on full spectra accept it
+    g = FourierGrid((16, 16), (2 * np.pi, 2 * np.pi))
+    x = random_scalar(g, 5)
+    f = Field.from_spectral(g, g.fft(x.values, half=True), real=True)
+    assert np.max(np.abs(f.values - x.values)) <= 1e-14 * np.max(np.abs(x.values))
+    assert f.spectral.shape == (1,) + g.shape
+    assert np.max(np.abs(f.spectral - x.spectral)) <= 1e-13 * np.max(np.abs(x.spectral))
+    assert abs(norm(f) - norm(x)) <= 1e-14 * norm(x)
 
 
 # ---------------------------------------------------------------------------

@@ -230,24 +230,27 @@ def test_cli_config_error_exit_code(tmp_path):
     assert cli.main(["resonance", "--override", "notkeyvalue"]) == 2
 
 
-@pytest.mark.parametrize("overrides", [
-    ["solver.typo=1"],
-    ['laws.params={"K_coefs":[1,0.5]}', "laws.name=polynomial"],
-    ["grid.shape.x=1"],
-    ["seed=abc"],
-    ['solver.dt="abc"'],
-    ['solver.snapshot_stride="x"'],
-    ['solver.rho_min_stop="x"'],
-    ['initial_data.amplitude="x"'],
-    ["solver.dealias=false"],
-    ["solver.check_stability=false"],
-    ["params.eps_lst=[0.1]"],
+@pytest.mark.parametrize("command, overrides", [
+    ("simulate", ["solver.typo=1"]),
+    ("simulate", ['laws.params={"K_coefs":[1,0.5]}', "laws.name=polynomial"]),
+    ("simulate", ["grid.shape.x=1"]),
+    ("simulate", ["seed=abc"]),
+    ("simulate", ['solver.dt="abc"']),
+    ("simulate", ['solver.snapshot_stride="x"']),
+    ("simulate", ['solver.rho_min_stop="x"']),
+    ("simulate", ['initial_data.amplitude="x"']),
+    ("simulate", ["solver.dealias=false"]),
+    ("simulate", ["solver.check_stability=false"]),
+    ("simulate", ["params.eps_lst=[0.1]"]),
+    ("lifespan", ['params.eps="x"']),
+    ("normalform", ["params.eps_list=0.1"]),
+    ("lifespan", ['params.deltas=[0.04,"a"]']),
 ], ids=["unknown-key", "law-param-typo", "path-into-list", "non-integer-seed",
         "string-dt", "string-snapshot-stride", "string-rho-min-stop",
         "string-amplitude", "removed-dealias-key", "removed-check-stability-key",
-        "params-typo"])
-def test_cli_bad_override_exit_code(overrides, capsys):
-    argv = ["simulate"]
+        "params-typo", "string-param", "scalar-for-list-param", "string-in-list-param"])
+def test_cli_bad_override_exit_code(command, overrides, capsys):
+    argv = [command]
     for ov in overrides:
         argv += ["--override", ov]
     assert cli.main(argv) == 2

@@ -35,10 +35,8 @@ def test_steady_shear_has_zero_tendencies():
     y = g.meshgrid()[1]
     u = Field.vector(g, np.stack([np.sin(y), np.zeros(g.shape)]))
     ext = states.to_extended(states.EKState(Field.scalar(g, np.ones(g.shape)), u), QUANTUM)
-    psi, pu, lmean = solver.encode(ext)
-    dplus, dminus, dpu, dlmean = solver.nonlinear_tendencies(g, QUANTUM, *states.split(g, psi, pu),
-                                                             lmean)
-    assert max(np.max(np.abs(dplus)), np.max(np.abs(dminus))) / g.npoints <= 1e-14
+    dv, dpu, dlmean = solver.nonlinear_tendencies(g, QUANTUM, *solver.encode(ext))
+    assert np.max(np.abs(dv)) / g.npoints <= 1e-14
     assert np.max(np.abs(dpu)) / g.npoints <= 1e-14
     assert dlmean == 0.0
     for f in solver.rhs_extended(ext, QUANTUM):
@@ -100,38 +98,34 @@ def test_nonlinearity_is_quadratic():
     ratios = []
     for eps in (0.04, 0.02):
         ext = states.to_extended(small_state(g, eps, seed=4), QUANTUM)
-        psi_spec, pu_spec, lmean = solver.encode(ext)
-        plus, minus, pu_half = states.split(g, psi_spec, pu_spec)
-        dplus, dminus, _, _ = solver.nonlinear_tendencies(g, QUANTUM, plus, minus, pu_half,
-                                                          lmean, dealias=False)
-        num = np.sqrt(np.sum(np.abs(dplus) ** 2) + np.sum(np.abs(dminus) ** 2))
-        den = np.sqrt(np.sum(np.abs(plus) ** 2) + np.sum(np.abs(minus) ** 2))
-        ratios.append(num / den)
+        v, pu, lmean = solver.encode(ext)
+        dv, _, _ = solver.nonlinear_tendencies(g, QUANTUM, v, pu, lmean, dealias=False)
+        ratios.append(np.sqrt(np.sum(np.abs(dv) ** 2) / np.sum(np.abs(v) ** 2)))
     assert 0.8 * 2.0 <= ratios[0] / ratios[1] <= 1.2 * 2.0
 
 
 def test_half_wave_is_the_linear_flow_on_the_half_layout():
+    # the rotation of each mode's pair (Qu, U^{-1}w) is e^{i(dt/2)H} on psi
     g = FourierGrid((32, 32), (2 * np.pi, 2 * np.pi))
-    psi, pu, _ = solver.encode(states.to_extended(small_state(g, 0.05, 8, 0.04), QUANTUM))
-    plus, minus, pu_half = states.split(g, psi, pu)
-    phase, conj_phase = solver._half_wave(g, 0.6)
-    rotated, _ = states.join(g, plus * phase, minus * conj_phase, pu_half)
-    expected = psi * linear_flow(g, 0.3)
+    v, _, _ = solver.encode(states.to_extended(small_state(g, 0.05, 8, 0.04), QUANTUM))
+    cos, sin = solver._half_wave(g, 0.6)
+    rotated = (cos * v[0] - sin * v[1]) + 1j * (sin * v[0] + cos * v[1])
+    expected = (v[0] + 1j * v[1]) * g.half(linear_flow(g, 0.3))
     assert np.max(np.abs(rotated - expected)) <= 1e-15 * np.max(np.abs(expected))
 
 
-def test_step_encoded_returns_full_layout_spectra():
-    # the contract of the step's boundary: full fft-layout arrays of shape
-    # (dim, *grid.shape), with Pu Hermitian and divergence-free
+def test_step_encoded_keeps_the_half_layout():
+    # the contract of the step: half-layout arrays in and out, with Pu the
+    # half spectrum of a real divergence-free field
     g = FourierGrid((32, 32), (2 * np.pi, 2 * np.pi))
     cfg = solver.SolverConfig(dt=0.01, t_end=1.0)
-    psi, pu, lmean = solver.encode(states.to_extended(small_state(g, 0.05, 13, 0.04), QUANTUM))
+    v, pu, lmean = solver.encode(states.to_extended(small_state(g, 0.05, 13, 0.04), QUANTUM))
+    half = g.shape[:-1] + (g.half_length,)
     for _ in range(10):
-        psi, pu, lmean = solver.step_encoded(g, QUANTUM, cfg, psi, pu, lmean)
-        assert psi.shape == pu.shape == (g.dim,) + g.shape
-    scale = max(np.max(np.abs(psi)), np.max(np.abs(pu)))
-    mirrored = np.conj(np.roll(np.flip(pu, (1, 2)), 1, (1, 2)))
-    assert np.max(np.abs(pu - mirrored)) <= 1e-12 * scale
+        v, pu, lmean = solver.step_encoded(g, QUANTUM, cfg, v, pu, lmean)
+        assert v.shape == (2, g.dim) + half and pu.shape == (g.dim,) + half
+    scale = max(np.max(np.abs(v)), np.max(np.abs(pu)))
+    assert np.max(np.abs(g.fft(g.ifft(pu), half=True) - pu)) <= 1e-12 * scale
     kmax = float(np.max(g.k_magnitude))
     assert np.max(np.abs(div_spec(g, pu))) <= 1e-12 * kmax * scale
 
@@ -292,3 +286,39 @@ def test_lifespan_experiment_envelope_rule():
     assert rows[0]["reason"] == "envelope"
     assert not rows[0]["censored"]
     assert rows[0]["T_obs"] == pytest.approx(5 * 0.02)
+
+
+def test_drive_calls_encode_and_step_encoded_through_module_globals(monkeypatch):
+    # perfbench's step recorder rebinds solver.encode and solver.step_encoded
+    # and relies on _drive calling encode once per run and step_encoded
+    # once per step, and on solver.decode taking the state they return
+    encode, step_encoded = solver.encode, solver.step_encoded
+    runs = []
+
+    def encode_rec(s):
+        out = encode(s)
+        runs.append({"last": out, "steps": 0})
+        return out
+
+    def step_rec(*args):
+        out = step_encoded(*args)
+        runs[-1]["last"] = out
+        runs[-1]["steps"] += 1
+        return out
+
+    monkeypatch.setattr(solver, "encode", encode_rec)
+    monkeypatch.setattr(solver, "step_encoded", step_rec)
+    g2 = FourierGrid((32, 32), (2 * np.pi, 2 * np.pi))
+    solver.lifespan_experiment(0.05, [0.04, 0.02], g2, QUANTUM,
+                               solver.SolverConfig(dt=0.01, t_end=1.0), seed=3, T_max=0.03)
+    g1 = FourierGrid(64, 2 * np.pi)
+    traj = solver.simulate(small_state(g1, 0.05), solver.SolverConfig(dt=0.01, t_end=0.04),
+                           QUANTUM)
+    assert [r["steps"] for r in runs] == [3, 3, 4]
+    for g, run, t in zip((g2, g2, g1), runs, (0.03, 0.03, 0.04)):
+        v, pu, lmean = run["last"]
+        ext = solver.decode(g, v, pu, lmean, t)
+        assert all(np.all(np.isfinite(f.data)) for f in (ext.l, ext.w, ext.u))
+        scale = max(np.max(np.abs(v)), np.max(np.abs(pu)))
+        assert np.max(np.abs(div_spec(g, pu))) <= 1e-12 * float(np.max(g.k_magnitude)) * scale
+    assert np.array_equal(ext.u.data, traj.final_state.u.data)
