@@ -51,21 +51,21 @@ def _bessel_weight(grid, spec: NormSpec):
 def norm(f: Field, spec: NormSpec = NormSpec()) -> float:
     """W^{k,p} norm by spectral differentiation and torus quadrature.
 
-    Exact (Parseval) at p = 2; for other finite p the pointwise power is
-    sampled on a twice-refined grid before averaging, since powers of
-    band-limited fields are not band-limited.
+    Works on the cached spectrum of ``f`` in either layout.  Exact at p = 2,
+    where the trapezoid sum of the weighted samples equals the spectral sum
+    (discrete Parseval); for other finite p the pointwise power is sampled
+    on a twice-refined grid before averaging, since powers of band-limited
+    fields are not band-limited.
     """
     grid = f.grid
     if spec.k > min(grid.shape) // 3:
         raise DerivativeOrderError(
             f"derivative order {spec.k} too high for grid shape {grid.shape}"
         )
-    weighted = f.spectral * _bessel_weight(grid, spec)
+    weighted = f.spectral * grid.cut(_bessel_weight(grid, spec), f.spectral)
+    mag2 = np.sum(np.abs(grid.ifft(weighted)) ** 2, axis=0)
     if spec.p == 2.0:
-        total = np.sum(np.abs(weighted) ** 2) / grid.npoints**2 * grid.volume
-        return float(np.sqrt(total))
-    phys = grid.ifft(weighted, real=f.is_real)
-    mag2 = np.sum(np.abs(phys) ** 2, axis=0)
+        return float(np.sqrt(grid.integrate(mag2)))
     if np.isinf(spec.p):
         return float(np.sqrt(np.max(mag2)))
     fine = grid.refine(mag2)
@@ -82,7 +82,8 @@ def weighted_norm(psi: Field, t: float, tail_fraction: float = 0.01):
     """
     grid = psi.grid
     zero = (0,) * grid.dim
-    spec = psi.spectral
+    # e^{-itH} psi is complex even for a real psi: evolve the full spectrum
+    spec = grid.fft(psi.data.astype(complex))
     if np.max(np.abs(spec[(Ellipsis,) + zero])) > 1e-8 * max(np.max(np.abs(spec)), 1e-300):
         raise ZeroModeError("weighted norm requires a mean-free field")
     evolved = grid.ifft(spec * linear_flow(grid, -t))
@@ -112,7 +113,7 @@ def hamiltonian(s: EKState, laws: ConstitutiveLaws) -> float:
     """Exact conserved energy: int rho(|u|^2 + |w|^2)/2 + G(rho) dx."""
     grid = s.rho.grid
     rho = s.rho.values
-    grad_rho = grid.ifft(grad_spec(grid, s.rho.spectral[0]), real=True)
+    grad_rho = grid.ifft(grad_spec(grid, s.rho.spectral[0]))
     w2 = (laws.K(rho) / rho) * np.sum(grad_rho**2, axis=0)
     u2 = np.sum(s.u.data**2, axis=0)
     density = 0.5 * rho * (u2 + w2) + laws.G(rho)
@@ -166,8 +167,8 @@ def gauge_energy(s: ExtendedState, laws: ConstitutiveLaws, n: int = 0) -> float:
     q_part = grid.ifft(proj_q_spec(grid, grid.fft(phi[None] * zn)))
     v = phi_tilde[None] * zn
     p_part = grid.ifft(grid.fft(v) - proj_q_spec(grid, grid.fft(v)))
-    r_spec = grid.fft(rho - 1.0) * lapn
-    rn = grid.ifft(r_spec, real=True)
+    r_spec = grid.fft(rho - 1.0)
+    rn = grid.ifft(r_spec * grid.cut(lapn, r_spec))
     density = (np.sum(np.abs(q_part) ** 2, axis=0)
                + np.sum(np.abs(p_part) ** 2, axis=0)
                + 2.0 * rn**2)

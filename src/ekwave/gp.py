@@ -47,10 +47,6 @@ class WaveFunction:
     def density(self):
         return np.abs(self.psi.values) ** 2
 
-    def renormalized_mass(self):
-        """integral of (|psi|^2 - 1); finite for far-field-1 states."""
-        return float(self.grid.integrate(self.density() - 1.0))
-
     def conjugate(self):
         return WaveFunction(Field.scalar(self.grid, np.conj(self.psi.values)), self.time)
 
@@ -146,9 +142,13 @@ def _center_index(grid):
 
 
 def _fourier_eval(grid, spec_scalar, x):
-    """Evaluate a one-dimensional band-limited field at an arbitrary point."""
-    k = grid.wavenumbers[0]
-    return np.real(np.sum(spec_scalar * np.exp(1j * k * x)) / grid.npoints)
+    """Evaluate a real one-dimensional band-limited field, given its half
+    spectrum, at an arbitrary point."""
+    k = grid.cut(grid.wavenumbers[0], spec_scalar)
+    # the modes 1 .. N/2 - 1 stand for themselves and their conjugates
+    weight = np.full(k.shape, 2.0)
+    weight[0] = weight[-1] = 1.0
+    return float(np.sum(weight * np.real(spec_scalar * np.exp(1j * k * x))) / grid.npoints)
 
 
 def _second_derivative_density(w0, dt_fd, dt, laws, idx):

@@ -6,12 +6,14 @@ differential and nonlocal operators act through the discrete Fourier
 transform on this lattice; the wavenumbers are ``xi = 2*pi*k / L_i`` with
 integer ``k`` in ``[-N_i/2, N_i/2)``.
 
-Spectra come in two layouts.  The full layout is the ``fftn`` array of
-``grid.shape``.  The half layout is the ``rfftn`` array of a real field:
-the last axis keeps only its first ``N/2 + 1`` entries, the modes
-``0 .. N/2 - 1`` and the Nyquist mode, whose full-layout positions are the
-same.  :meth:`FourierGrid.ifft` tells the layouts apart by the length of
-the last axis.  Every transform is a ``scipy.fft`` call.
+Spectra come in two layouts, and the data type decides which: a real
+field's spectrum is its ``rfftn`` half spectrum, whose last axis keeps only
+its first ``N/2 + 1`` entries (the modes ``0 .. N/2 - 1`` and the Nyquist
+mode, at the same positions as in the full layout); a complex field's is
+its ``fftn`` full spectrum of ``grid.shape``.  :meth:`FourierGrid.fft`
+decides by the dtype of its input, :meth:`FourierGrid.ifft` by the length
+of the last axis, and :meth:`FourierGrid.cut` slices a per-grid array to
+the layout of a spectrum.  Every transform is a ``scipy.fft`` call.
 """
 
 from __future__ import annotations
@@ -107,28 +109,31 @@ class FourierGrid:
         return f"FourierGrid(shape={self.shape}, lengths={self.lengths})"
 
     # -- transforms -----------------------------------------------------
-    def fft(self, values, half=False):
-        """Forward transform over the last ``dim`` axes; ``half=True`` gives
-        the half layout of real ``values``."""
-        if half:
+    def fft(self, values):
+        """Forward transform over the last ``dim`` axes: the half spectrum of
+        real ``values``, the full spectrum of complex ones."""
+        if np.isrealobj(values):
             return scipy.fft.rfftn(values, axes=self._axes_idx)
         return scipy.fft.fftn(values, axes=self._axes_idx)
 
     def ifft(self, spectrum, real=False):
-        """Inverse transform of either layout.
+        """Inverse transform of either layout, told apart by the length of
+        the last axis.
 
-        A half-layout spectrum always gives real samples; on the full layout
-        ``real=True`` drops the imaginary round-off.
+        A half spectrum gives real samples, a full spectrum complex ones,
+        whose imaginary part ``real`` drops.
         """
         if spectrum.shape[-1] == self.half_length:
             return scipy.fft.irfftn(spectrum, s=self.shape, axes=self._axes_idx)
         out = scipy.fft.ifftn(spectrum, axes=self._axes_idx)
         return out.real if real else out
 
-    def half(self, grid_array):
-        """A per-grid array in the half layout: the first N/2 + 1 entries of
-        its last axis, where both layouts agree."""
-        return grid_array[..., :self.half_length]
+    @staticmethod
+    def cut(grid_array, spec):
+        """A per-grid array in the layout of the spectrum ``spec``: the half
+        layout keeps the first N/2 + 1 entries of the last axis, where both
+        layouts agree."""
+        return grid_array[..., :spec.shape[-1]]
 
     def kaxis_diff(self, i):
         """Broadcastable wavenumber array for axis ``i``, Nyquist coefficient zeroed."""
@@ -140,7 +145,8 @@ class FourierGrid:
 
     def refine(self, values, factor=2):
         """Spectrally interpolate onto a ``factor``-times finer grid."""
-        spec = scipy.fft.fftshift(self.fft(values), axes=self._axes_idx)
+        spec = scipy.fft.fftn(values, axes=self._axes_idx)
+        spec = scipy.fft.fftshift(spec, axes=self._axes_idx)
         pad = [(0, 0)] * (spec.ndim - self.dim)
         for n in self.shape:
             before = (factor * n - n) // 2
@@ -161,10 +167,10 @@ class Field:
     """Grid samples of a scalar or vector field.
 
     Data is stored with a leading component axis of size 1 (scalar) or
-    ``grid.dim`` (vector).  Real-kind fields hold float arrays, so their
-    spectra are Hermitian-symmetric by construction.  The spectral
-    representation is computed lazily and cached; fields are treated as
-    immutable values.
+    ``grid.dim`` (vector).  The spectral representation is computed lazily
+    and cached, in the layout of the data type: the half spectrum of a
+    real-kind (float) field, the full spectrum of a complex one.  Fields
+    are treated as immutable values.
     """
 
     __slots__ = ("grid", "data", "_spectral")
@@ -212,15 +218,14 @@ class Field:
         return cls(grid, np.zeros((ncomp,) + grid.shape, dtype=dtype))
 
     @classmethod
-    def from_spectral(cls, grid, spectrum, real=False):
-        """The field with spectrum ``spectrum`` in either layout; only a
-        full-layout spectrum is kept as its cached ``spectral``."""
+    def from_spectral(cls, grid, spectrum):
+        """The field with spectrum ``spectrum``, kept as its cached
+        ``spectral``: a real field from a half spectrum, a complex one from
+        a full spectrum."""
         spectrum = np.asarray(spectrum, dtype=complex)
         if spectrum.ndim == grid.dim:
             spectrum = spectrum[None]
-        data = grid.ifft(spectrum, real=real)
-        full = spectrum.shape[-grid.dim:] == grid.shape
-        return cls(grid, data, _spectral=spectrum if full else None)
+        return cls(grid, grid.ifft(spectrum), _spectral=spectrum)
 
     # -- views ----------------------------------------------------------
     @property

@@ -53,9 +53,8 @@ def _band_mask(grid, band_limit):
 
 def band_limited_scalar(grid: FourierGrid, rng, band_limit: float):
     """Random real mean-free scalar, band-limited and max-normalized to 1."""
-    draw = rng.standard_normal(grid.shape)
-    spec = grid.fft(draw) * _band_mask(grid, band_limit)
-    phys = grid.ifft(spec, real=True)
+    spec = grid.fft(rng.standard_normal(grid.shape))
+    phys = grid.ifft(spec * grid.cut(_band_mask(grid, band_limit), spec))
     peak = float(np.max(np.abs(phys)))
     if peak == 0.0:
         raise ConfigError("band limit excludes every lattice mode")
@@ -75,15 +74,14 @@ def generate_initial_data(spec: InitialDataSpec, grid: FourierGrid,
     laws.check_density(rho, "generated initial data")
 
     chi = band_limited_scalar(grid, rng, spec.band_limit)
-    u = spec.amplitude * grid.ifft(grad_spec(grid, grid.fft(chi)), real=True)
+    u = spec.amplitude * grid.ifft(grad_spec(grid, grid.fft(chi)))
 
     if spec.solenoidal > 0.0:
         if grid.dim == 1:
             raise ConfigError("no nontrivial divergence-free fields exist in 1d")
-        draw = rng.standard_normal((grid.dim,) + grid.shape)
-        vspec = grid.fft(draw) * _band_mask(grid, spec.band_limit)
-        vspec = proj_p_spec(grid, vspec)
-        v = Field.from_spectral(grid, vspec, real=True)
+        vspec = grid.fft(rng.standard_normal((grid.dim,) + grid.shape))
+        vspec = proj_p_spec(grid, vspec * grid.cut(_band_mask(grid, spec.band_limit), vspec))
+        v = Field.from_spectral(grid, vspec)
         from .diagnostics import NormSpec, norm
         measured = norm(v, NormSpec(spec.norm_k, spec.norm_p))
         if measured == 0.0:
@@ -109,7 +107,7 @@ def wave_packet(grid: FourierGrid, carrier: float = 1.0, width: float = 4.0,
     vals = envelope * (np.exp(1j * phase) if complex_kind else np.cos(phase))
     spec = grid.fft(vals)
     spec[(0,) * grid.dim] = 0.0
-    return Field.from_spectral(grid, spec[None], real=not complex_kind)
+    return Field.from_spectral(grid, spec)
 
 
 def packet_cutoff(carrier: float, width: float, tail_sigmas: float = 4.0) -> float:

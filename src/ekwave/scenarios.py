@@ -388,11 +388,22 @@ def _run_blowup(cfg, report):
     report.add_verdict("grad_u_monotone_last_decade", float(grows), 1.0, 0.0, grows)
 
 
+def _products_resolved(grid, band_limit):
+    # quadratic products of band-limited data reach twice the band's top
+    # mode on each axis; the 2/3 mask keeps modes up to N // 3
+    tops = (round(np.max(np.abs(k[np.abs(k) <= band_limit])) * L / (2.0 * np.pi))
+            for k, L in zip(grid.wavenumbers, grid.lengths))
+    return all(2 * top <= n // 3 for top, n in zip(tops, grid.shape))
+
+
 def _run_normalform(cfg, report):
     grid = cfg.build_grid()
     laws = cfg.build_laws()
     eps_list = [float(e) for e in _params(cfg)["eps_list"]]
     spec = cfg.build_initial_spec()
+    # the cubic order rests on quadratic cancellation, which truncated
+    # products break: without them the slope is no evidence either way
+    resolved = _products_resolved(grid, spec.band_limit)
     rows = []
     for eps in eps_list:
         spec_eps = dataclasses.replace(spec, amplitude=eps)
@@ -403,9 +414,10 @@ def _run_normalform(cfg, report):
     slope = float(np.polyfit(np.log([r["eps"] for r in rows]),
                              np.log([r["residual_l2"] for r in rows]), 1)[0])
     report.tables["residual"] = rows
-    report.fitted = {"slope": slope}
+    report.fitted = {"slope": slope, "resolved": resolved}
     report.add_verdict("cubic_residual_slope", slope, 3.0, 0.3,
-                       abs(slope - 3.0) <= 0.3)
+                       resolved and abs(slope - 3.0) <= 0.3,
+                       "measured" if resolved else "inconclusive")
 
 
 def _run_resonance(cfg, report):

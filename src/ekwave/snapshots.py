@@ -31,13 +31,6 @@ MAGIC = b"EKSNAP1\x00"
 VERSION = 1
 
 
-def header_size(dim: int, field_names) -> int:
-    """Exact byte count of the header for the documented layout."""
-    base = len(MAGIC) + 4 + 4 + 4 * dim + 8 * dim + 8 + 4
-    per_field = sum(4 + len(n.encode("utf-8")) + 4 + 4 for n in field_names)
-    return base + per_field
-
-
 def save_snapshot(path, fields: Dict[str, Field], time: float = 0.0) -> None:
     if not fields:
         raise SnapshotError("snapshot requires at least one field")

@@ -30,6 +30,7 @@ from .errors import StabilityError, VacuumError, check_field_types
 from .grid import Field, FourierGrid
 from .laws import ConstitutiveLaws
 from .spectral import (
+    bilinear_B,
     div_spec,
     grad_spec,
     jacobian,
@@ -82,9 +83,9 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 
 def _dealias_fft(grid, phys, on):
-    spec = grid.fft(phys, half=True)
+    spec = grid.fft(phys)
     if on:
-        spec *= grid.half(grid.dealias_mask)
+        spec *= grid.cut(grid.dealias_mask, spec)
     return spec
 
 
@@ -130,7 +131,7 @@ def nonlinear_tendencies(grid: FourierGrid, laws: ConstitutiveLaws,
 
     # dQu gets -Q(adv); Q is idempotent, so one projection of the sum does
     dqu_nl = proj_q_spec(grid, -adv_spec + grad_terms + relax_spec)
-    dv = np.stack([dqu_nl, grid.half(symbol_u_inv(grid)) * dw_nl])
+    dv = np.stack([dqu_nl, grid.cut(symbol_u_inv(grid), dw_nl) * dw_nl])
     return dv, -proj_p_spec(grid, adv_spec), dlmean
 
 
@@ -150,13 +151,13 @@ def rhs_extended(s: ExtendedState, laws: ConstitutiveLaws, dealias=True):
     # add the linear parts: -div(Qu) to dl and (Laplacian - 2) w to dQu
     lin_l = div_spec(grid, qu_spec)
     if dealias:
-        lin_l = lin_l * grid.half(grid.dealias_mask)
+        lin_l = lin_l * grid.cut(grid.dealias_mask, lin_l)
     dl_spec = dl_nl - lin_l
-    du_spec = dqu_nl - (grid.half(grid.k_squared) + 2.0) * w_spec + dpu
+    du_spec = dqu_nl - (grid.cut(grid.k_squared, w_spec) + 2.0) * w_spec + dpu
 
-    dl = Field.from_spectral(grid, dl_spec[None], real=True)
-    dw = Field.from_spectral(grid, grad_spec(grid, dl_spec), real=True)
-    du = Field.from_spectral(grid, du_spec, real=True)
+    dl = Field.from_spectral(grid, dl_spec)
+    dw = Field.from_spectral(grid, grad_spec(grid, dl_spec))
+    du = Field.from_spectral(grid, du_spec)
     return dl, dw, du
 
 
@@ -191,10 +192,10 @@ def _check_dt(s: ExtendedState, cfg: SolverConfig, laws: ConstitutiveLaws):
 
 @functools.lru_cache(maxsize=16)
 def _half_wave(grid, dt):
-    # e^{i(dt/2)H} = cos + i sin on the half lattice: it rotates each
+    # e^{i(dt/2)H} = cos + i sin: on the encoded state it rotates each
     # mode's pair (Qu, U^{-1}w) by the angle (dt/2)H
-    flow = grid.half(linear_flow(grid, dt / 2.0))
-    cos, sin = np.ascontiguousarray(flow.real), np.ascontiguousarray(flow.imag)
+    flow = linear_flow(grid, dt / 2.0)
+    cos, sin = flow.real.copy(), flow.imag.copy()
     cos.flags.writeable = sin.flags.writeable = False
     return cos, sin
 
@@ -205,7 +206,7 @@ def step_encoded(grid, laws, cfg, v, pu, lmean):
     dt = cfg.dt
     if dt == 0.0:
         return v, pu, lmean
-    cos, sin = _half_wave(grid, dt)
+    cos, sin = (grid.cut(x, v) for x in _half_wave(grid, dt))
 
     def rotate(v):
         return np.stack([cos * v[0] - sin * v[1], sin * v[0] + cos * v[1]])
@@ -243,7 +244,8 @@ def _monitor(grid, laws, v, pu, lmean):
     """``(min rho, max|lap rho| + max|grad u|)`` of an encoded state."""
     qu_spec, _, l_spec = unpack(grid, v, lmean)
     rho = laws.rho_of_l(grid.ifft(l_spec))
-    lap_rho = grid.ifft(-grid.half(grid.k_squared) * grid.fft(rho, half=True))
+    rho_spec = grid.fft(rho)
+    lap_rho = grid.ifft(-grid.cut(grid.k_squared, rho_spec) * rho_spec)
     grad_u = jacobian(grid, pu + qu_spec)
     return float(np.min(rho)), float(np.max(np.abs(lap_rho))) + float(np.max(np.abs(grad_u)))
 
@@ -336,34 +338,21 @@ def normal_form_residual(s: ExtendedState, laws: ConstitutiveLaws) -> Field:
     bilinearity of B using the full tendencies of the untransformed
     system.
     """
-    from .spectral import bilinear_B
-
     grid = s.grid
-    dl, dw, du = rhs_extended(s, laws)
-    dw_spec = dw.spectral
-    du_spec = du.spectral
-    dqu_spec = proj_q_spec(grid, du_spec)
-    pu_spec = proj_p_spec(grid, s.u.spectral)
-    qu_spec = proj_q_spec(grid, s.u.spectral)
-    qu = Field.from_spectral(grid, qu_spec, real=True)
-    pu = Field.from_spectral(grid, pu_spec, real=True)
-    dqu = Field.from_spectral(grid, dqu_spec, real=True)
-    dw_f = Field.from_spectral(grid, dw_spec, real=True)
+    _, dw, du = rhs_extended(s, laws)
+    qu = Field.from_spectral(grid, proj_q_spec(grid, s.u.spectral))
+    pu = Field.from_spectral(grid, proj_p_spec(grid, s.u.spectral))
+    dqu = Field.from_spectral(grid, proj_q_spec(grid, du.spectral))
 
-    b_w = bilinear_B(s.w, dw_f, laws.strength)
+    b_w = bilinear_B(s.w, dw, laws.strength)
     b_q = bilinear_B(qu, dqu, laws.strength)
-    dw1_spec = dw_spec - grad_spec(grid, 2.0 * (b_w.spectral[0] - b_q.spectral[0]))
+    dw1_spec = dw.spectral - grad_spec(grid, 2.0 * (b_w.spectral[0] - b_q.spectral[0]))
 
-    rho = laws.rho_of_l(s.l.values)
-    a = laws.a(rho)
-    lap_qu = -grid.k_squared * qu_spec
-    one_minus_a_qu = grid.fft((1.0 - a)[None] * grid.ifft(qu_spec, real=True))
-    graddiv = grad_spec(grid, div_spec(grid, one_minus_a_qu))
-    pu_dot_w = np.sum(pu.data * s.w.data, axis=0)
-    grad_puw = grad_spec(grid, grid.fft(pu_dot_w))
-
-    res_spec = dw1_spec + lap_qu - graddiv + grad_puw
-    return Field.from_spectral(grid, res_spec, real=True)
+    a = laws.a(laws.rho_of_l(s.l.values))
+    lap_qu = -grid.cut(grid.k_squared, qu.spectral) * qu.spectral
+    graddiv = grad_spec(grid, div_spec(grid, grid.fft((1.0 - a)[None] * qu.data)))
+    grad_puw = grad_spec(grid, grid.fft(np.sum(pu.data * s.w.data, axis=0)))
+    return Field.from_spectral(grid, dw1_spec + lap_qu - graddiv + grad_puw)
 
 
 # ---------------------------------------------------------------------------
@@ -392,10 +381,10 @@ def lifespan_experiment(eps, delta_list, grid, laws, cfg, seed, T_max,
                               band_limit=band_limit)
         ext = to_extended(generate_initial_data(ids, grid, laws, seed), laws)
         limit = envelope_C * field_norm(
-            Field.from_spectral(grid, proj_p_spec(grid, ext.u.spectral), real=True), nspec)
+            Field.from_spectral(grid, proj_p_spec(grid, ext.u.spectral)), nspec)
 
         def envelope(v, pu, lmean):
-            transport = field_norm(Field.from_spectral(grid, pu, real=True), nspec)
+            transport = field_norm(Field.from_spectral(grid, pu), nspec)
             return "envelope" if transport > limit else None
 
         traj = _drive(ext, cfg, laws, T_max, sample_stride,
@@ -426,12 +415,13 @@ def rhs_primitive(s: EKState, laws: ConstitutiveLaws, dealias=True):
     u = s.u.data
 
     def grad(phys):
-        return grid.ifft(grad_spec(grid, _dealias_fft(grid, phys, dealias)), real=True)
+        return grid.ifft(grad_spec(grid, _dealias_fft(grid, phys, dealias)))
 
-    drho = grid.ifft(-div_spec(grid, _dealias_fft(grid, rho * u, dealias)), real=True)
+    drho = grid.ifft(-div_spec(grid, _dealias_fft(grid, rho * u, dealias)))
     grad_rho = grad(rho)
-    lap_rho = grid.ifft(-grid.k_squared * grid.fft(rho), real=True)
+    rho_spec = s.rho.spectral[0]
+    lap_rho = grid.ifft(-grid.cut(grid.k_squared, rho_spec) * rho_spec)
     capillary = laws.K(rho) * lap_rho + 0.5 * laws.dK(rho) * np.sum(grad_rho**2, axis=0)
     du = (-np.einsum("i...,ij...->j...", u, jacobian(grid, _dealias_fft(grid, u, dealias)))
           - laws.dg(rho) * grad_rho + grad(capillary))
-    return drho, grid.ifft(_dealias_fft(grid, du, dealias), real=True)
+    return drho, grid.ifft(_dealias_fft(grid, du, dealias))

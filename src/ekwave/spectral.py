@@ -11,9 +11,13 @@ Symbols are computed once per grid (grids hash by shape and lengths) and
 returned read-only, in the full layout.  :func:`linear_flow` is the one
 linear group ``e^{itH}``, :func:`jacobian` the one velocity gradient.  The
 Helmholtz projectors split a vector spectrum into divergence-free and
-gradient parts; on the mean mode both are defined as zero.  The operators
-on spectra take either layout of :mod:`ekwave.grid` and slice the per-grid
-arrays to it.
+gradient parts; on the mean mode both are defined as zero.
+
+One layout rule holds throughout (:mod:`ekwave.grid`): a real field's
+spectrum is its half spectrum, a complex field's its full spectrum.  The
+operators on spectra take either layout and slice the per-grid arrays to it
+with ``grid.cut``; :func:`bilinear_B` works on the half spectra of real
+operands.
 """
 
 from __future__ import annotations
@@ -88,22 +92,17 @@ def group_velocity(r):
 # differential operators and projectors on spectra
 # ---------------------------------------------------------------------------
 
-def _cut(grid_array, spec):
-    # a per-grid array in the layout of ``spec``: the half layout keeps the
-    # first N/2 + 1 entries of the last axis, where both layouts agree
-    return grid_array[..., :spec.shape[-1]]
-
-
 def _k_dot(grid, spec_vector):
     # xi . v with the Nyquist-zeroed wavenumbers
-    return sum(_cut(grid.kaxis_diff(i), spec_vector) * spec_vector[i] for i in range(grid.dim))
+    return sum(grid.cut(grid.kaxis_diff(i), spec_vector) * spec_vector[i]
+               for i in range(grid.dim))
 
 
 def grad_spec(grid, spec):
     """Spectral gradient: prepends an axis of ``dim`` derivatives to ``spec``."""
     out = np.empty((grid.dim,) + spec.shape, dtype=complex)
     for i in range(grid.dim):
-        np.multiply(1j * _cut(grid.kaxis_diff(i), spec), spec, out=out[i])
+        np.multiply(1j * grid.cut(grid.kaxis_diff(i), spec), spec, out=out[i])
     return out
 
 
@@ -113,7 +112,7 @@ def div_spec(grid, spec_vector):
 
 def jacobian(grid, vec_spec):
     """Physical gradient ``J[i, j] = d_i v_j`` of a vector spectrum, in one inverse transform."""
-    return grid.ifft(grad_spec(grid, vec_spec), real=True)
+    return grid.ifft(grad_spec(grid, vec_spec))
 
 
 def proj_q_spec(grid, spec_vector):
@@ -123,10 +122,10 @@ def proj_q_spec(grid, spec_vector):
     and exactly the identity on outputs of :func:`grad_spec`.
     """
     kv = _k_dot(grid, spec_vector)
-    k2 = _cut(_k2_safe(grid), kv)
+    k2 = grid.cut(_k2_safe(grid), kv)
     out = np.empty_like(spec_vector, dtype=complex)
     for i in range(grid.dim):
-        np.divide(_cut(grid.kaxis_diff(i), kv) * kv, k2, out=out[i])
+        np.divide(grid.cut(grid.kaxis_diff(i), kv) * kv, k2, out=out[i])
     zero = (0,) * grid.dim
     out[(Ellipsis,) + zero] = 0.0
     return out
@@ -141,7 +140,7 @@ def proj_p_spec(grid, spec_vector):
 
 def inverse_grad_spec(grid, spec_vector):
     """Scalar spectrum f with grad f = v for a gradient field v; zero mean."""
-    out = -1j * _k_dot(grid, spec_vector) / _cut(_k2_safe(grid), spec_vector)
+    out = -1j * _k_dot(grid, spec_vector) / grid.cut(_k2_safe(grid), spec_vector)
     zero = (0,) * grid.dim
     out[(Ellipsis,) + zero] = 0.0
     return out
@@ -168,7 +167,8 @@ def bilinear_B(f: Field, g: Field, strength: float) -> Field:
     with the substitution ``s = -ln(1 - tau)/2`` and Gauss-Legendre nodes
     on ``(0, 1)``, doubling the node count until two successive results
     agree to ``BILINEAR_TOL`` (relative, L^2).  Vector inputs contract to the dot
-    product; scalar inputs give the scalar pseudo-product.
+    product; scalar inputs give the scalar pseudo-product.  A real pair is
+    evaluated on half spectra; a pair with a complex operand on full ones.
     """
     if f.grid is not g.grid and f.grid != g.grid:
         raise ComponentError("bilinear_B operands must share a grid")
@@ -180,20 +180,18 @@ def bilinear_B(f: Field, g: Field, strength: float) -> Field:
         return Field.zeros(grid, 1, complex_kind=not real)
 
     zero = (0,) * grid.dim
-    k2 = grid.k_squared
     # Split off the mean modes analytically: against a constant the symbol
     # collapses to the linear multiplier strength/(2(2+|zeta|^2)), and the
     # heat-kernel integrand of the remaining mean-free part vanishes fast
     # enough at the endpoint for the node-doubling quadrature to converge.
-    fspec = f.spectral.copy()
-    gspec = g.spectral.copy()
+    fspec = (f.spectral if real else grid.fft(f.data.astype(complex))).copy()
+    gspec = (g.spectral if real else grid.fft(g.data.astype(complex))).copy()
+    k2 = grid.cut(grid.k_squared, fspec)
     fbar = fspec[(Ellipsis,) + zero] / grid.npoints
     gbar = gspec[(Ellipsis,) + zero] / grid.npoints
     fspec[(Ellipsis,) + zero] = 0.0
     gspec[(Ellipsis,) + zero] = 0.0
-    cross = np.zeros(grid.shape, dtype=complex)
-    for c in range(f.ncomp):
-        cross += fbar[c] * gspec[c] + gbar[c] * fspec[c]
+    cross = sum(fbar[c] * gspec[c] + gbar[c] * fspec[c] for c in range(f.ncomp))
     mean_spec = cross / (2.0 * (2.0 + k2))
     mean_spec[zero] = np.sum(fbar * gbar) / 4.0 * grid.npoints
     mean_field = grid.ifft(mean_spec)
@@ -201,7 +199,7 @@ def bilinear_B(f: Field, g: Field, strength: float) -> Field:
     def evaluate(n):
         tau, wts = _heat_quadrature_nodes(n)
         s = -np.log1p(-tau) / 2.0
-        acc = np.zeros(grid.shape, dtype=complex)
+        acc = np.zeros(grid.shape, dtype=float if real else complex)
         for si, wi in zip(s, wts):
             heat = np.exp(-si * k2)
             fs = grid.ifft(fspec * heat)
@@ -215,8 +213,7 @@ def bilinear_B(f: Field, g: Field, strength: float) -> Field:
         cur = evaluate(n)
         scale = max(np.sqrt(np.sum(np.abs(cur) ** 2)), 1e-300)
         if np.sqrt(np.sum(np.abs(cur - prev) ** 2)) <= BILINEAR_TOL * scale:
-            total = strength * (cur + mean_field)
-            return Field.scalar(grid, total.real if real else total)
+            return Field.scalar(grid, strength * (cur + mean_field))
         prev = cur
         n *= 2
     raise QuadratureError(
@@ -231,14 +228,15 @@ def bilinear_B_exact(f: Field, g: Field, strength: float) -> Field:
     Sums ``strength/(2(2+|eta|^2+|zeta|^2)) fhat(eta) ghat(zeta)`` over all
     mode pairs, accumulating at the wrapped output mode ``eta + zeta`` --
     exactly the circular convolution the pointwise products in the
-    quadrature produce.
+    quadrature produce.  The sum runs over the full spectra of the operands
+    cast to complex.
     """
     grid = f.grid
     if grid.npoints > 40000:
         raise QuadratureError("exact bilinear oracle restricted to small grids")
     shape = grid.shape
-    fspec = f.spectral / grid.npoints
-    gspec = g.spectral / grid.npoints
+    fspec = grid.fft(f.data.astype(complex)) / grid.npoints
+    gspec = grid.fft(g.data.astype(complex)) / grid.npoints
     k_axes = grid.wavenumbers
     out = np.zeros(shape, dtype=complex)
 

@@ -10,13 +10,16 @@ Three equivalent descriptions of the same flow are used:
   of the complex dispersive variable ``psi = Q u + i U^{-1} w``; Pu is the
   half spectrum of the solenoidal velocity.
 
-Every encoded spectrum is in the half layout of :mod:`ekwave.grid`, so the
-real pair (Qu, U^{-1} w) is carried as is and every transform is
-real-to-complex or complex-to-real.  :func:`encode`, :func:`unpack` and
-:func:`decode` are the only places that map between (l, w, u) and the
-encoded state; the solver, its monitor and the normal form all go through
-them.  :func:`normal_form` returns the encoded state with the quadratic
-change of unknown ``w -> w1`` applied inside ``v``.
+One layout rule holds throughout (:mod:`ekwave.grid`): the spectrum of a
+real field is its half spectrum, and ``grid.fft`` and ``grid.ifft`` pick
+the layout by dtype and by shape.  The fields here are real, so every
+spectrum is a half spectrum, the real pair (Qu, U^{-1} w) is carried as
+is, and every transform is real-to-complex or complex-to-real.
+:func:`encode`, :func:`unpack` and :func:`decode` are the only places that
+map between (l, w, u) and the encoded state; the solver, its monitor and
+the normal form all go through them.  :func:`normal_form` returns the
+encoded state with the quadratic change of unknown ``w -> w1`` applied
+inside ``v``.
 """
 
 from __future__ import annotations
@@ -109,7 +112,7 @@ def to_extended(s: EKState, laws: ConstitutiveLaws) -> ExtendedState:
     grid = s.grid
     lvals = laws.l_of_rho(s.rho.values)
     l = Field.scalar(grid, lvals)
-    w = Field.from_spectral(grid, grad_spec(grid, l.spectral[0]), real=True)
+    w = Field.from_spectral(grid, grad_spec(grid, l.spectral[0]))
     return ExtendedState(l=l, w=w, u=s.u, time=s.time)
 
 
@@ -130,15 +133,15 @@ def encode(s: ExtendedState):
     is a half spectrum of shape ``(dim, *half)``.
     """
     grid = s.grid
-    u_spec = grid.half(s.u.spectral)
+    u_spec = s.u.spectral
     v = np.stack([proj_q_spec(grid, u_spec),
-                  grid.half(symbol_u_inv(grid)) * grid.half(s.w.spectral)])
+                  grid.cut(symbol_u_inv(grid), u_spec) * s.w.spectral])
     return v, proj_p_spec(grid, u_spec), float(s.l.mean()[0])
 
 
 def unpack(grid, v, lmean):
     """``(Qu, w, l)`` half spectra carried by ``v`` and mean(l)."""
-    w_spec = grid.half(symbol_u(grid)) * v[1]
+    w_spec = grid.cut(symbol_u(grid), v) * v[1]
     return v[0], w_spec, _l_spec(grid, w_spec, lmean)
 
 
@@ -149,9 +152,9 @@ def _l_spec(grid, w_spec, lmean):
 
 
 def _extended(grid, l_spec, u_spec, time):
-    l = Field.from_spectral(grid, l_spec[None], real=True)
-    w = Field.from_spectral(grid, grad_spec(grid, l_spec), real=True)
-    return ExtendedState(l=l, w=w, u=Field.from_spectral(grid, u_spec, real=True), time=time)
+    l = Field.from_spectral(grid, l_spec)
+    w = Field.from_spectral(grid, grad_spec(grid, l_spec))
+    return ExtendedState(l=l, w=w, u=Field.from_spectral(grid, u_spec), time=time)
 
 
 def decode(grid, v, pu_spec, lmean, time) -> ExtendedState:
@@ -168,7 +171,7 @@ def normal_form(s: ExtendedState, laws: ConstitutiveLaws) -> NormalForm:
     """Encode ``s`` with ``w1 = w - grad(B[w,w] - B[Qu,Qu])`` in place of w."""
     grid = s.grid
     v, pu, lmean = encode(s)
-    v[1] += grid.half(symbol_u_inv(grid)) * grid.half(normal_form_correction(s, laws).spectral)
+    v[1] += grid.cut(symbol_u_inv(grid), v) * normal_form_correction(s, laws).spectral
     return NormalForm(grid, v, pu, lmean, s.time)
 
 
@@ -185,7 +188,7 @@ def invert_normal_form(d: NormalForm, laws: ConstitutiveLaws,
 
         def grad_b(f_spec):
             f = Field.from_spectral(grid, f_spec)
-            return grad_spec(grid, grid.fft(bilinear_B(f, f, laws.strength).values, half=True))
+            return grad_spec(grid, bilinear_B(f, f, laws.strength).spectral[0])
 
         qu_corr = grad_b(qu_spec)
         scale = max(float(np.max(np.abs(w1_spec))) / grid.npoints, 1e-300)
@@ -207,8 +210,8 @@ def normal_form_correction(s: ExtendedState, laws: ConstitutiveLaws) -> Field:
     grid = s.grid
     if laws.strength == 0.0:
         return Field.zeros(grid, grid.dim)
-    qu = Field.from_spectral(grid, proj_q_spec(grid, s.u.spectral), real=True)
+    qu = Field.from_spectral(grid, proj_q_spec(grid, s.u.spectral))
     bqq = bilinear_B(qu, qu, laws.strength)
     bww = bilinear_B(s.w, s.w, laws.strength)
     corr = grad_spec(grid, bww.spectral[0] - bqq.spectral[0])
-    return Field.from_spectral(grid, -corr, real=True)
+    return Field.from_spectral(grid, -corr)

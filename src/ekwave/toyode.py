@@ -8,7 +8,6 @@ Runge-Kutta pair with event detection for the blow-up proxy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
@@ -17,17 +16,6 @@ from scipy.integrate import solve_ivp
 from .errors import ConfigError
 
 BLOW_CAP = 1e6
-
-
-@dataclass
-class OdeState:
-    x: float
-    y: float
-    t: float = 0.0
-
-
-def ode_rhs(s: OdeState) -> Tuple[float, float]:
-    return (-s.x + s.x**2 + s.y**2, s.y * (s.x + s.y))
 
 
 def _rhs(t, z):

@@ -78,6 +78,10 @@ def test_weighted_norm_gaussian_oracle():
     closed = np.sqrt(sigma**3 * np.sqrt(np.pi) / 2.0)
     assert valid
     assert abs(value - closed) <= 0.01 * closed
+    # e^{-itH} of a real field is complex: it is evolved as its complex cast
+    real = Field.scalar(g, psi.values.real)
+    cast = Field.scalar(g, real.values + 0j)
+    assert diag.weighted_norm(real, 0.5) == diag.weighted_norm(cast, 0.5)
 
 
 def test_weighted_norm_translation_monotone():

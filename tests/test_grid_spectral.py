@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ekwave.diagnostics import norm
+from ekwave.diagnostics import NormSpec, norm
 from ekwave.errors import GridError
 from ekwave.grid import Field, FourierGrid
 from ekwave.spectral import (
@@ -13,6 +13,7 @@ from ekwave.spectral import (
     bilinear_B_exact,
     div_spec,
     grad_spec,
+    inverse_grad_spec,
     jacobian,
     linear_flow,
     proj_p_spec,
@@ -76,24 +77,64 @@ def test_round_trip_physical_spectral(seed, logn):
 
 
 def test_real_field_spectrum_hermitian():
+    # the full spectrum of a real field is Hermitian, and the cached half
+    # spectrum is its first N/2 + 1 entries
     g = FourierGrid(32, 2 * np.pi)
     f = random_scalar(g, 3)
-    spec = f.spectral[0]
+    spec = g.fft(f.values.astype(complex))
     # F(-k) == conj(F(k))
     flipped = np.conj(np.roll(spec[::-1], 1))
     assert np.max(np.abs(spec - flipped)) <= 1e-10 * np.max(np.abs(spec))
+    assert f.spectral.shape == (1, g.half_length)
+    assert np.max(np.abs(f.spectral[0] - g.cut(spec, f.spectral))) <= 1e-10 * np.max(np.abs(spec))
 
 
-def test_from_spectral_on_a_half_spectrum_caches_only_the_full_layout():
-    # a field built from its rfftn half spectrum has the right samples and
-    # a full-layout spectral, so operators on full spectra accept it
+def test_from_spectral_on_a_half_spectrum_caches_it(monkeypatch):
+    # a real field built from its half spectrum keeps that spectrum, so a
+    # norm of it needs no forward transform
     g = FourierGrid((16, 16), (2 * np.pi, 2 * np.pi))
-    x = random_scalar(g, 5)
-    f = Field.from_spectral(g, g.fft(x.values, half=True), real=True)
-    assert np.max(np.abs(f.values - x.values)) <= 1e-14 * np.max(np.abs(x.values))
-    assert f.spectral.shape == (1,) + g.shape
-    assert np.max(np.abs(f.spectral - x.spectral)) <= 1e-13 * np.max(np.abs(x.spectral))
-    assert abs(norm(f) - norm(x)) <= 1e-14 * norm(x)
+    x = random_vector(g, 5)
+    spec = g.fft(x.data)
+    f = Field.from_spectral(g, spec)
+    assert f.is_real and f.spectral is spec
+    assert np.max(np.abs(f.data - x.data)) <= 1e-14 * np.max(np.abs(x.data))
+    calls = []
+    fft = FourierGrid.fft
+
+    def counted(self, values):
+        calls.append(values.shape)
+        return fft(self, values)
+
+    monkeypatch.setattr(FourierGrid, "fft", counted)
+    value = norm(f, NormSpec(1, np.inf))
+    assert calls == []
+    assert abs(value - norm(x, NormSpec(1, np.inf))) <= 1e-13 * value
+
+
+LAYOUT_SHAPES = {"1d": (64,), "2d": (32, 32), "3d": (16, 16, 16)}
+
+
+@pytest.mark.parametrize("shape", LAYOUT_SHAPES.values(), ids=LAYOUT_SHAPES.keys())
+def test_operators_on_half_spectra_match_the_full_layout(shape):
+    # a real field on its half spectrum against the same field cast to
+    # complex, on its full spectrum sliced to the half layout
+    g = FourierGrid(shape, 2 * np.pi)
+    f, u = random_scalar(g, 51), random_vector(g, 52)
+    fc, uc = Field(g, f.data + 0j), Field(g, u.data + 0j)
+    assert f.spectral.shape[-1] == g.half_length and fc.spectral.shape[1:] == g.shape
+
+    def close(half, full, tol=1e-13):
+        assert np.max(np.abs(half - full)) <= tol * np.max(np.abs(full))
+
+    close(grad_spec(g, f.spectral[0]), g.cut(grad_spec(g, fc.spectral[0]), f.spectral))
+    for op in (proj_q_spec, proj_p_spec, inverse_grad_spec):
+        close(op(g, u.spectral), g.cut(op(g, uc.spectral), u.spectral))
+    close(jacobian(g, u.spectral), jacobian(g, uc.spectral).real)
+    for spec in (NormSpec(), NormSpec(1, np.inf), NormSpec(2, 4.0, homogeneous=True)):
+        close(norm(u, spec), norm(uc, spec))
+    h = random_scalar(g, 53)
+    hc = Field(g, h.data + 0j)
+    close(bilinear_B(f, h, -1.0).values, bilinear_B(fc, hc, -1.0).values, 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +154,7 @@ def test_symbols_computed_once_per_grid_and_read_only():
 def test_h_on_zero_field_is_zero():
     g = FourierGrid(16, 2 * np.pi)
     z = Field.zeros(g)
-    out = g.ifft(z.spectral * symbol_h(g), real=True)
+    out = g.ifft(z.spectral * g.cut(symbol_h(g), z.spectral))
     assert np.all(out == 0.0)
 
 
@@ -139,7 +180,7 @@ def test_q_is_identity_on_gradients():
 def test_uinv_u_identity_on_mean_free():
     g = FourierGrid(64, 2 * np.pi)
     f = mean_free(random_scalar(g, 8))
-    out = g.ifft(f.spectral * symbol_u(g) * symbol_u_inv(g), real=True)
+    out = g.ifft(f.spectral * g.cut(symbol_u(g) * symbol_u_inv(g), f.spectral))
     assert np.max(np.abs(out - f.data)) <= 1e-12 * np.max(np.abs(f.values))
 
 
@@ -164,7 +205,7 @@ def split(g, u):
 
 
 def gradient(f):
-    return Field.from_spectral(f.grid, grad_spec(f.grid, f.spectral[0]), real=True)
+    return Field.from_spectral(f.grid, grad_spec(f.grid, f.spectral[0]))
 
 
 def test_helmholtz_gradient_is_potential():
@@ -277,7 +318,7 @@ def test_bilinear_cancellation_identity():
     strength = -1.0
     f = random_scalar(g, 31)
     h = random_scalar(g, 32)
-    lap = lambda q: Field.from_spectral(g, -g.k_squared * q.spectral, real=True)
+    lap = lambda q: Field.from_spectral(g, -g.cut(g.k_squared, q.spectral) * q.spectral)
     lhs = (2.0 * bilinear_B(f, lap(h), strength).values
            + 2.0 * bilinear_B(lap(f) + (-2.0) * f, h, strength).values)
     rhs = -strength * f.values * h.values

@@ -12,7 +12,7 @@ from ekwave.errors import ConfigError, SnapshotError
 from ekwave.grid import Field, FourierGrid
 from ekwave.initial_data import InitialDataSpec, generate_initial_data
 from ekwave.laws import ConstitutiveLaws
-from ekwave.snapshots import header_size, load_snapshot, save_snapshot
+from ekwave.snapshots import load_snapshot, save_snapshot
 from ekwave.spectral import proj_p_spec
 
 QUANTUM = ConstitutiveLaws.quantum()
@@ -25,7 +25,7 @@ QUANTUM = ConstitutiveLaws.quantum()
 def test_delta_zero_gives_potential_velocity():
     g = FourierGrid((32, 32), (2 * np.pi, 2 * np.pi))
     s = generate_initial_data(InitialDataSpec(amplitude=0.05), g, QUANTUM, 9)
-    pu = Field.from_spectral(g, proj_p_spec(g, s.u.spectral), real=True)
+    pu = Field.from_spectral(g, proj_p_spec(g, s.u.spectral))
     assert pu.l2norm() <= 1e-12
 
 
@@ -44,7 +44,7 @@ def test_solenoidal_norm_is_renormalized():
     g = FourierGrid((64, 64), (2 * np.pi, 2 * np.pi))
     spec = InitialDataSpec(amplitude=0.05, solenoidal=0.03)
     s = generate_initial_data(spec, g, QUANTUM, 5)
-    pu = Field.from_spectral(g, proj_p_spec(g, s.u.spectral), real=True)
+    pu = Field.from_spectral(g, proj_p_spec(g, s.u.spectral))
     assert abs(norm(pu, NormSpec(0, 2.0)) - 0.03) <= 1e-10
 
 
@@ -90,7 +90,10 @@ def test_snapshot_header_byte_count(tmp_path):
     f = {"l": Field.scalar(g, np.zeros(g.shape))}
     path = tmp_path / "h.eksnap"
     save_snapshot(path, f)
-    expected = header_size(2, ["l"]) + 8 * 64 * 64
+    # the documented layout: magic, version, d, N_i, L_i, time, nfields,
+    # then name_len, name, ncomp and kind per field, then the f64 samples
+    header = 8 + 4 + 4 + 4 * 2 + 8 * 2 + 8 + 4 + (4 + len("l") + 4 + 4)
+    expected = header + 8 * 64 * 64
     assert path.stat().st_size == expected
 
 
@@ -267,6 +270,19 @@ def test_cli_zero_step_simulate_is_inconclusive(tmp_path, capsys):
         assert not verdicts[name]["passed"]
         assert verdicts[name]["provenance"] == "inconclusive"
     assert "(inconclusive)" in capsys.readouterr().out
+
+
+def test_cli_unresolved_normalform_is_inconclusive(tmp_path, capsys):
+    # on 16^2 the products of band-4 data reach mode 8, past the 2/3 cutoff
+    # at 5, so the slope is no evidence for or against the cubic order
+    assert cli.main(["normalform", "--out", str(tmp_path),
+                     "--override", "grid.shape=[16,16]",
+                     "--override", "grid.lengths=[6.283185307179586,6.283185307179586]"]) == 1
+    report = json.loads((tmp_path / "normalform_report.json").read_text())
+    assert report["fitted"]["resolved"] is False
+    (verdict,) = report["verdicts"]
+    assert verdict["name"] == "cubic_residual_slope"
+    assert not verdict["passed"] and verdict["provenance"] == "inconclusive"
 
 
 def test_cli_verify_rejects_config_and_override(capsys):

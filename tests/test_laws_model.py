@@ -28,7 +28,7 @@ QUANTUM = ConstitutiveLaws.quantum()
 
 
 def gradient(f):
-    return Field.from_spectral(f.grid, grad_spec(f.grid, f.spectral[0]), real=True)
+    return Field.from_spectral(f.grid, grad_spec(f.grid, f.spectral[0]))
 
 
 def small_state(grid, amplitude, seed=11, laws=QUANTUM):

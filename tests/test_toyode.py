@@ -8,9 +8,10 @@ from ekwave import toyode
 
 
 def test_rhs_hand_values():
-    assert toyode.ode_rhs(toyode.OdeState(0.0, 0.0, 0.0)) == (0.0, 0.0)
-    assert toyode.ode_rhs(toyode.OdeState(1.0, 0.0, 0.0)) == (0.0, 0.0)
-    assert toyode.ode_rhs(toyode.OdeState(0.0, 1.0, 0.0)) == (1.0, 1.0)
+    # the vector field the integrator runs
+    assert toyode._rhs(0.0, (0.0, 0.0)) == (0.0, 0.0)
+    assert toyode._rhs(0.0, (1.0, 0.0)) == (0.0, 0.0)
+    assert toyode._rhs(0.0, (0.0, 1.0)) == (1.0, 1.0)
 
 
 def test_axis_invariance():
