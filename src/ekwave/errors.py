@@ -18,10 +18,6 @@ class ComponentError(EkwaveError, ValueError):
     """Field component count incompatible with the requested operation."""
 
 
-class ZeroModeError(EkwaveError, ValueError):
-    """Operation that needs a mean-free field got a nonzero mean mode."""
-
-
 class QuadratureError(EkwaveError, RuntimeError):
     """Adaptive quadrature failed to reach the requested tolerance."""
 
@@ -50,8 +46,8 @@ class DerivativeOrderError(EkwaveError, ValueError):
     """Requested spectral derivative order too high for the grid."""
 
 
-class GaugeError(EkwaveError, RuntimeError):
-    """Gauge weight is invalid (nonpositive square) on the density range."""
+class FitError(EkwaveError, ValueError):
+    """Too few usable samples for a least-squares fit."""
 
 
 class SnapshotError(EkwaveError, ValueError):

@@ -20,13 +20,19 @@ from typing import List
 
 import numpy as np
 
-from .errors import ComponentError, VacuumError
+from .errors import ComponentError, StabilityError, VacuumError
 from .grid import Field, FourierGrid
 from .laws import ConstitutiveLaws
 from .spectral import div_spec, grad_spec, jacobian
 from .states import EKState
 
 VACUUM_THRESHOLD = 1e-6
+# the vacuum-formation run: finite-difference step of the density's time
+# derivatives, the density below which the fluid velocity is not
+# evaluated, and the tracked particle's start offset from the zero
+DT_FD = 1e-3
+ADMISSIBLE_FLOOR = 1e-3
+TRACK_OFFSET = 1.0
 
 
 @dataclass
@@ -46,9 +52,6 @@ class WaveFunction:
 
     def density(self):
         return np.abs(self.psi.values) ** 2
-
-    def conjugate(self):
-        return WaveFunction(Field.scalar(self.grid, np.conj(self.psi.values)), self.time)
 
 
 def gp_step(w: WaveFunction, dt: float, laws: ConstitutiveLaws) -> WaveFunction:
@@ -116,16 +119,13 @@ def fluid_state(w: WaveFunction, threshold: float = VACUUM_THRESHOLD) -> EKState
 class BlowupReport:
     second_derivative: float = float("nan")
     predicted: float = float("nan")
-    first_derivative_max: float = float("nan")
     quadratic_coefficient: float = float("nan")
     alpha: float = float("nan")
     forward_time: float = float("nan")
     vacuum_time: float = float("nan")
-    min_density_at_vacuum: float = float("nan")
     grad_u_history: List[float] = dataclass_field(default_factory=list)
     grad_u_times: List[float] = dataclass_field(default_factory=list)
     characteristic_residual: float = float("nan")
-    notes: List[str] = dataclass_field(default_factory=list)
 
 
 def gaussian_notch(grid: FourierGrid, width: float = 1.0) -> WaveFunction:
@@ -151,33 +151,36 @@ def _fourier_eval(grid, spec_scalar, x):
     return float(np.sum(weight * np.real(spec_scalar * np.exp(1j * k * x))) / grid.npoints)
 
 
-def _second_derivative_density(w0, dt_fd, dt, laws, idx):
-    # |psi|^2 is even in t for real data; 5-point centered stencil collapses
-    # to the forward samples
-    f = []
-    for h in (dt_fd, 2.0 * dt_fd):
-        n = max(1, int(round(h / dt)))
-        wt = gp_evolve(w0, h, h / n, laws)
-        f.append(float(np.abs(wt.psi.values[idx]) ** 2))
-    f0 = float(np.abs(w0.psi.values[idx]) ** 2)
-    return (-2.0 * f[1] + 32.0 * f[0] - 30.0 * f0) / (12.0 * dt_fd**2)
+def _second_derivative_density(w0, dt, laws):
+    """d^2|psi|^2/dt^2 at t = 0 on the grid, Richardson-extrapolated once
+    from the steps DT_FD and DT_FD / 2."""
+    # |psi|^2 is even in t for real data: the 5-point centered stencil
+    # collapses to the forward samples at h and 2h
+    density = {0.0: w0.density()}
+    for s in (DT_FD / 2.0, DT_FD, 2.0 * DT_FD):
+        n = max(1, int(round(s / dt)))
+        density[s] = gp_evolve(w0, s, s / n, laws).density()
+
+    def stencil(h):
+        return (-2.0 * density[2.0 * h] + 32.0 * density[h] - 30.0 * density[0.0]) / (12.0 * h**2)
+
+    return (4.0 * stencil(DT_FD / 2.0) - stencil(DT_FD)) / 3.0
 
 
 def blowup_experiment(w0: WaveFunction, laws: ConstitutiveLaws, *,
-                      dt: float = 1e-4, forward_time: float = 0.25,
-                      dt_fd: float = 1e-3, vacuum_threshold: float = VACUUM_THRESHOLD,
-                      admissible_floor: float = 1e-3,
-                      track_offset: float = 1.0) -> BlowupReport:
+                      dt: float = 1e-4, forward_time: float = 0.25) -> BlowupReport:
     """Measure the quadratic vacuum-filling rate and re-form the vacuum.
 
-    Steps: (i) check d|psi|^2/dt vanishes at t = 0 for real data;
-    (ii) measure d^2|psi|^2/dt^2 at the zero and compare with twice the
-    squared Laplacian of the datum there; (iii) fit the quadratic growth
-    of the density at the zero; (iv) run forward, conjugate and run
-    forward again until the density re-forms a vacuum; (v) along the
-    backward (conjugated) run, track max|grad u| and the characteristic
-    identity rho(t, X(t)) = rho0(X(0)) exp(-int div u).
+    Steps: (i) measure d^2|psi|^2/dt^2 at the zero and compare with twice
+    the squared Laplacian of the datum there (d|psi|^2/dt vanishes at
+    t = 0 for real data); (ii) fit the quadratic growth of the density at
+    the zero; (iii) run forward, conjugate and run forward again until the
+    density re-forms a vacuum; (iv) along the backward (conjugated) run,
+    track max|grad u| and the characteristic identity
+    rho(t, X(t)) = rho0(X(0)) exp(-int div u).
     """
+    if not dt > 0:
+        raise StabilityError(f"dt must be positive, got {dt!r}")
     grid = w0.grid
     report = BlowupReport()
     vals0 = w0.psi.values
@@ -192,30 +195,15 @@ def blowup_experiment(w0: WaveFunction, laws: ConstitutiveLaws, *,
         raise ComponentError("Laplacian of the datum must not vanish at the zero")
     report.predicted = 2.0 * abs(lap_center) ** 2
 
-    # (i) first derivative of the density at t = 0 (centered difference;
-    # psi(-t) = conj(psi(t)) for real data)
-    n_fd = max(1, int(round(dt_fd / dt)))
-    w_plus = gp_evolve(w0, dt_fd, dt_fd / n_fd, laws)
-    d_plus = np.abs(w_plus.psi.values) ** 2
-    d_minus = np.abs(np.conj(w_plus.psi.values)) ** 2
-    report.first_derivative_max = float(np.max(np.abs(d_plus - d_minus))) / (2.0 * dt_fd)
+    # (i) second derivative of the density at the zero, and alpha, its
+    # infimum over the zero and its neighbours
+    d2 = _second_derivative_density(w0, dt, laws)
+    report.second_derivative = float(d2[idx])
+    report.alpha = float(min(d2[tuple((i + shift) % n for i, n in zip(idx, grid.shape))]
+                             for shift in (-1, 0, 1)))
 
-    # (ii) second derivative, Richardson-extrapolated once
-    coarse = _second_derivative_density(w0, dt_fd, dt, laws, idx)
-    fine = _second_derivative_density(w0, dt_fd / 2.0, dt, laws, idx)
-    report.second_derivative = (4.0 * fine - coarse) / 3.0
-
-    # alpha: infimum of the measured second derivative near the zero
-    neighborhood = []
-    for shift in (-1, 0, 1):
-        jdx = tuple((i + shift) % n for i, n in zip(idx, grid.shape))
-        coarse_j = _second_derivative_density(w0, dt_fd, dt, laws, jdx)
-        fine_j = _second_derivative_density(w0, dt_fd / 2.0, dt, laws, jdx)
-        neighborhood.append((4.0 * fine_j - coarse_j) / 3.0)
-    report.alpha = float(min(neighborhood))
-
-    # (iii) quadratic fit of the density at the zero on a small window
-    ts = np.linspace(2 * dt_fd, 20 * dt_fd, 10)
+    # (ii) quadratic fit of the density at the zero on a small window
+    ts = np.linspace(2 * DT_FD, 20 * DT_FD, 10)
     w = w0
     t_prev = 0.0
     samples = []
@@ -228,7 +216,7 @@ def blowup_experiment(w0: WaveFunction, laws: ConstitutiveLaws, *,
         np.sum(np.asarray(samples) * ts**2) / np.sum(ts**4)
     )
 
-    # (iv) forward run, conjugate, forward again until vacuum.  The datum
+    # (iii) forward run, conjugate, forward again until vacuum.  The datum
     # starts at vacuum, which fills in quadratically; only a *return* to
     # vacuum after filling invalidates the configuration.
     nsteps = int(round(forward_time / dt))
@@ -237,17 +225,17 @@ def blowup_experiment(w0: WaveFunction, laws: ConstitutiveLaws, *,
     for _ in range(nsteps):
         w = gp_step(w, dt, laws)
         min_rho_fwd = float(np.min(np.abs(w.psi.values) ** 2))
-        if min_rho_fwd > 100.0 * vacuum_threshold:
+        if min_rho_fwd > 100.0 * VACUUM_THRESHOLD:
             filled = True
-        elif filled and min_rho_fwd <= vacuum_threshold:
+        elif filled and min_rho_fwd <= VACUUM_THRESHOLD:
             raise VacuumError("forward run returned to vacuum; configuration invalid")
     if not filled:
         raise VacuumError("forward run never filled the vacuum; configuration invalid")
     report.forward_time = w.time
     back = WaveFunction(Field.scalar(grid, np.conj(w.psi.values)), 0.0)
 
-    # (v) backward run with monitoring
-    x0 = (grid.lengths[0] / 2.0 + track_offset) % grid.lengths[0] if grid.dim == 1 else None
+    # (iv) backward run with monitoring
+    x0 = (grid.lengths[0] / 2.0 + TRACK_OFFSET) % grid.lengths[0] if grid.dim == 1 else None
     x_track = x0
     div_integral = 0.0
     rho0_at_x0 = None
@@ -257,13 +245,12 @@ def blowup_experiment(w0: WaveFunction, laws: ConstitutiveLaws, *,
     for i in range(2 * nsteps):
         rho_now = np.abs(back.psi.values) ** 2
         min_rho = float(np.min(rho_now))
-        if min_rho <= vacuum_threshold:
+        if min_rho <= VACUUM_THRESHOLD:
             report.vacuum_time = back.time
-            report.min_density_at_vacuum = min_rho
             break
-        if min_rho > admissible_floor:
+        if min_rho > ADMISSIBLE_FLOOR:
             try:
-                state = fluid_state(back, threshold=admissible_floor * 0.5)
+                state = fluid_state(back, threshold=ADMISSIBLE_FLOOR * 0.5)
             except VacuumError:
                 state = None
             if state is not None:
@@ -290,12 +277,8 @@ def blowup_experiment(w0: WaveFunction, laws: ConstitutiveLaws, *,
                     prev_u, prev_div = u_here, div_here
                     last_rho_at_x = _fourier_eval(grid, grid.fft(rho_now), x_track)
         back = gp_step(back, dt, laws)
-    else:
-        report.notes.append("backward run did not reach the vacuum threshold")
 
     if track_active and rho0_at_x0 is not None and np.isfinite(last_rho_at_x):
         expected = rho0_at_x0 * np.exp(-div_integral)
         report.characteristic_residual = abs(last_rho_at_x - expected) / abs(rho0_at_x0)
-    else:
-        report.notes.append("characteristic tracking not computed")
     return report

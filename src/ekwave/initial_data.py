@@ -91,8 +91,7 @@ def generate_initial_data(spec: InitialDataSpec, grid: FourierGrid,
     return EKState(rho=Field.scalar(grid, rho), u=Field.vector(grid, u))
 
 
-def wave_packet(grid: FourierGrid, carrier: float = 1.0, width: float = 4.0,
-                complex_kind: bool = True) -> Field:
+def wave_packet(grid: FourierGrid, carrier: float = 1.0, width: float = 4.0) -> Field:
     """Localized modulated packet for dispersion measurements.
 
     Gaussian envelope of the given spatial width centered mid-domain,
@@ -104,7 +103,7 @@ def wave_packet(grid: FourierGrid, carrier: float = 1.0, width: float = 4.0,
     r2 = sum(c * c for c in centered)
     envelope = np.exp(-r2 / (2.0 * width**2))
     phase = carrier * centered[0]
-    vals = envelope * (np.exp(1j * phase) if complex_kind else np.cos(phase))
+    vals = envelope * np.exp(1j * phase)
     spec = grid.fft(vals)
     spec[(0,) * grid.dim] = 0.0
     return Field.from_spectral(grid, spec)

@@ -64,11 +64,12 @@ def _check_keys(d, allowed, where):
 
 def _check_params(params, scenario):
     # each value takes the kind of its default: a real number, an integer,
-    # or a list of real numbers
+    # or a nonempty list of real numbers (a sweep with no entry has no rows)
     for key, value in params.items():
         default = _DEFAULT_PARAMS[scenario][key]
         if isinstance(default, list):
-            ok = isinstance(value, list) and all(is_kind(x, "float") for x in value)
+            ok = (isinstance(value, list) and len(value) > 0
+                  and all(is_kind(x, "float") for x in value))
         else:
             ok = is_kind(value, type(default).__name__)
         if not ok:
@@ -411,13 +412,18 @@ def _run_normalform(cfg, report):
         ext = to_extended(s0, laws)
         res = solver.normal_form_residual(ext, laws)
         rows.append({"eps": eps, "residual_l2": res.l2norm()})
-    slope = float(np.polyfit(np.log([r["eps"] for r in rows]),
-                             np.log([r["residual_l2"] for r in rows]), 1)[0])
+    # a slope needs two distinct amplitudes
+    fitted = len(set(eps_list)) >= 2
+    slope = float("nan")
+    if fitted:
+        slope = float(np.polyfit(np.log([r["eps"] for r in rows]),
+                                 np.log([r["residual_l2"] for r in rows]), 1)[0])
     report.tables["residual"] = rows
     report.fitted = {"slope": slope, "resolved": resolved}
+    conclusive = resolved and fitted
     report.add_verdict("cubic_residual_slope", slope, 3.0, 0.3,
-                       resolved and abs(slope - 3.0) <= 0.3,
-                       "measured" if resolved else "inconclusive")
+                       conclusive and abs(slope - 3.0) <= 0.3,
+                       "measured" if conclusive else "inconclusive")
 
 
 def _run_resonance(cfg, report):
@@ -478,7 +484,7 @@ def _run_simulate(cfg, report, out_dir=None):
         ek = from_extended(st, laws)
         m = diagnostics.mass(ek)
         h = diagnostics.hamiltonian(ek, laws)
-        e0 = diagnostics.gauge_energy(st, laws, 0)
+        e0 = diagnostics.gauge_energy(st, ek.rho)
         if m0 is None:
             m0, h0 = m, h
         rows.append({"t": t, "mass": m, "hamiltonian": h, "gauge_energy_0": e0})

@@ -26,8 +26,10 @@ from typing import List
 
 import numpy as np
 
+from .diagnostics import NormSpec, norm
 from .errors import StabilityError, VacuumError, check_field_types
 from .grid import Field, FourierGrid
+from .initial_data import InitialDataSpec, generate_initial_data
 from .laws import ConstitutiveLaws
 from .spectral import (
     bilinear_B,
@@ -42,6 +44,10 @@ from .spectral import (
 from .states import EKState, ExtendedState, decode, encode, to_extended, unpack
 
 RK4_STABILITY = 2.8
+# the lifespan sweep's transport envelope: the W^{1,inf} norm of Pu,
+# sampled every LIFESPAN_STRIDE steps
+ENVELOPE_NORM = NormSpec(1, np.inf)
+LIFESPAN_STRIDE = 5
 
 
 @dataclass
@@ -68,10 +74,6 @@ class Trajectory:
     steps: int = 0
     min_rho_history: List[float] = dataclass_field(default_factory=list)
     criterion_history: List[float] = dataclass_field(default_factory=list)
-
-    @property
-    def final_state(self):
-        return self.states[-1]
 
     @property
     def final_time(self):
@@ -360,34 +362,29 @@ def normal_form_residual(s: ExtendedState, laws: ConstitutiveLaws) -> Field:
 # ---------------------------------------------------------------------------
 
 def lifespan_experiment(eps, delta_list, grid, laws, cfg, seed, T_max,
-                        envelope_C=1.3, envelope_k=1, envelope_p=np.inf,
-                        band_limit=4.0, sample_stride=5):
+                        envelope_C=1.3, band_limit=4.0):
     """T_obs(delta) table for seeded data with solenoidal size delta.
 
     The observation time is the first firing among: the transport-norm
-    envelope (W^{envelope_k, envelope_p} norm of Pu exceeding
-    ``envelope_C`` times its initial value; skipped when delta = 0), the
-    vacuum monitor and the continuation-criterion cap, all checked every
-    ``sample_stride`` steps.  Runs reaching ``T_max`` are censored.  Every delta reuses the same seed, so the
-    sweep varies only the solenoidal amplitude.
+    envelope (the ``ENVELOPE_NORM`` of Pu exceeding ``envelope_C`` times
+    its initial value; skipped when delta = 0), the vacuum monitor and the
+    continuation-criterion cap, all checked every ``LIFESPAN_STRIDE``
+    steps.  Runs reaching ``T_max`` are censored.  Every delta reuses the
+    same seed, so the sweep varies only the solenoidal amplitude.
     """
-    from .diagnostics import NormSpec, norm as field_norm
-    from .initial_data import InitialDataSpec, generate_initial_data
-
-    nspec = NormSpec(envelope_k, envelope_p)
     rows = []
     for delta in delta_list:
         ids = InitialDataSpec(amplitude=eps, solenoidal=float(delta),
                               band_limit=band_limit)
         ext = to_extended(generate_initial_data(ids, grid, laws, seed), laws)
-        limit = envelope_C * field_norm(
-            Field.from_spectral(grid, proj_p_spec(grid, ext.u.spectral)), nspec)
+        limit = envelope_C * norm(
+            Field.from_spectral(grid, proj_p_spec(grid, ext.u.spectral)), ENVELOPE_NORM)
 
         def envelope(v, pu, lmean):
-            transport = field_norm(Field.from_spectral(grid, pu), nspec)
+            transport = norm(Field.from_spectral(grid, pu), ENVELOPE_NORM)
             return "envelope" if transport > limit else None
 
-        traj = _drive(ext, cfg, laws, T_max, sample_stride,
+        traj = _drive(ext, cfg, laws, T_max, LIFESPAN_STRIDE,
                       stop=envelope if delta > 0 else None)
         censored = traj.termination == "reached_t_end"
         T_obs = float(T_max) if censored else traj.final_time

@@ -42,6 +42,10 @@ from .spectral import (
 )
 
 GRADIENT_TOL = 1e-10
+# fixed-point inversion of the normal form: relative step tolerance and
+# iteration cap
+INVERSION_TOL = 1e-10
+INVERSION_MAX_ITER = 50
 
 
 @dataclass
@@ -175,8 +179,7 @@ def normal_form(s: ExtendedState, laws: ConstitutiveLaws) -> NormalForm:
     return NormalForm(grid, v, pu, lmean, s.time)
 
 
-def invert_normal_form(d: NormalForm, laws: ConstitutiveLaws,
-                       tol: float = 1e-10, max_iter: int = 50):
+def invert_normal_form(d: NormalForm, laws: ConstitutiveLaws):
     """Recover w from w1 by fixed-point iteration; contracts for small data.
 
     Returns ``(state, iterations)``.
@@ -192,15 +195,15 @@ def invert_normal_form(d: NormalForm, laws: ConstitutiveLaws,
 
         qu_corr = grad_b(qu_spec)
         scale = max(float(np.max(np.abs(w1_spec))) / grid.npoints, 1e-300)
-        for iters in range(1, max_iter + 1):
+        for iters in range(1, INVERSION_MAX_ITER + 1):
             new_spec = w1_spec + grad_b(w_spec) - qu_corr
             step = float(np.max(np.abs(new_spec - w_spec))) / grid.npoints
             w_spec = new_spec
-            if step <= tol * max(scale, 1.0):
+            if step <= INVERSION_TOL * max(scale, 1.0):
                 break
         else:
             raise NormalFormError(
-                f"fixed-point inversion did not contract within {max_iter} iterations"
+                f"fixed-point inversion did not contract within {INVERSION_MAX_ITER} iterations"
             )
     return _extended(grid, _l_spec(grid, w_spec, d.lmean), d.pu + qu_spec, d.time), iters
 

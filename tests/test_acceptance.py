@@ -86,7 +86,7 @@ def test_criterion_4_madelung_consistency():
     errs = []
     for dt in (1e-4, 5e-5):
         traj = solver.simulate(s0, solver.SolverConfig(dt=dt, t_end=1.0), QUANTUM)
-        ek = from_extended(traj.final_state, QUANTUM)
+        ek = from_extended(traj.states[-1], QUANTUM)
         ref = gp.fluid_state(gp.gp_evolve(w0, 1.0, dt, QUANTUM))
         num = np.sqrt(np.sum((ek.rho.values - ref.rho.values) ** 2)
                       + np.sum((ek.u.data - ref.u.data) ** 2))
@@ -127,14 +127,14 @@ def test_criterion_7_conservation_suite():
     drifts = []
     for dt in (4e-3, 2e-3, 1e-3):
         traj = solver.simulate(s0, solver.SolverConfig(dt=dt, t_end=0.2), QUANTUM)
-        sf = from_extended(traj.final_state, QUANTUM)
+        sf = from_extended(traj.states[-1], QUANTUM)
         drifts.append(abs(hamiltonian(sf, QUANTUM) - h0) / abs(h0))
     orders = np.log2(np.array(drifts[:-1]) / np.array(drifts[1:]))
 
     ratios = []
     for amp in (0.04, 0.02, 0.01):
         s = generate_initial_data(InitialDataSpec(amplitude=amp), g, QUANTUM, SEED)
-        e0 = gauge_energy(to_extended(s, QUANTUM), QUANTUM, 0)
+        e0 = gauge_energy(to_extended(s, QUANTUM), s.rho)
         ratios.append((e0 - 2.0 * hamiltonian(s, QUANTUM)) / amp**3)
     mags = np.abs(ratios)
 
@@ -198,7 +198,7 @@ def test_criterion_9_solenoidal_invariance_and_lifespan():
     g = FourierGrid((64, 64), (2 * np.pi, 2 * np.pi))
     s0 = generate_initial_data(InitialDataSpec(amplitude=0.05), g, QUANTUM, SEED)
     traj = solver.simulate(s0, solver.SolverConfig(dt=5e-3, t_end=0.5), QUANTUM)
-    sf = traj.final_state
+    sf = traj.states[-1]
     pu = proj_p_spec(g, sf.u.spectral)
     unorm = np.sqrt(np.sum(np.abs(sf.u.spectral) ** 2))
     pu_rel = np.sqrt(np.sum(np.abs(pu) ** 2)) / max(unorm, 1e-300)

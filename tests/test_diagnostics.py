@@ -1,12 +1,11 @@
-"""Measurement machinery: norms, energies, fits, resonances, envelopes."""
+"""Measurement machinery: norms, energies, fits and resonances."""
 
 import numpy as np
 import pytest
 
-from ekwave.errors import DerivativeOrderError, ZeroModeError
+from ekwave.errors import DerivativeOrderError, FitError
 from ekwave.grid import Field, FourierGrid
 from ekwave.laws import ConstitutiveLaws
-from ekwave.spectral import linear_flow
 from ekwave.states import to_extended
 from ekwave.initial_data import InitialDataSpec, generate_initial_data
 from ekwave import diagnostics as diag
@@ -60,59 +59,6 @@ def test_norm_max_and_parseval_agreement():
 
 
 # ---------------------------------------------------------------------------
-# weighted norm (windowed torus stand-in for || x e^{-itH} psi ||)
-# ---------------------------------------------------------------------------
-
-def modulated_gaussian(grid, sigma=1.0, carrier=8.0, shift=0):
-    x = grid.meshgrid()[0]
-    c = grid.lengths[0] / 2.0
-    vals = np.exp(1j * carrier * x) * np.exp(-((x - c) ** 2) / (2.0 * sigma**2))
-    return Field.scalar(grid, np.roll(vals, shift))
-
-
-def test_weighted_norm_gaussian_oracle():
-    g = FourierGrid(512, 32 * np.pi)
-    sigma = 1.0
-    psi = modulated_gaussian(g, sigma)
-    value, valid = diag.weighted_norm(psi, 0.0)
-    closed = np.sqrt(sigma**3 * np.sqrt(np.pi) / 2.0)
-    assert valid
-    assert abs(value - closed) <= 0.01 * closed
-    # e^{-itH} of a real field is complex: it is evolved as its complex cast
-    real = Field.scalar(g, psi.values.real)
-    cast = Field.scalar(g, real.values + 0j)
-    assert diag.weighted_norm(real, 0.5) == diag.weighted_norm(cast, 0.5)
-
-
-def test_weighted_norm_translation_monotone():
-    g = FourierGrid(512, 32 * np.pi)
-    centered, _ = diag.weighted_norm(modulated_gaussian(g), 0.0)
-    shifted, _ = diag.weighted_norm(modulated_gaussian(g, shift=64), 0.0)
-    assert shifted > centered
-
-
-def test_weighted_norm_unitary_pullback():
-    g = FourierGrid(512, 32 * np.pi)
-    psi = modulated_gaussian(g)
-    t = 0.7
-    base, _ = diag.weighted_norm(psi, 0.0)
-    pulled, _ = diag.weighted_norm(Field.from_spectral(g, psi.spectral * linear_flow(g, t)), t)
-    assert abs(pulled - base) <= 1e-10 * base
-
-
-def test_weighted_norm_requires_mean_free():
-    g = FourierGrid(256, 32 * np.pi)
-    with pytest.raises(ZeroModeError):
-        diag.weighted_norm(modulated_gaussian(g, carrier=0.0), 0.0)
-
-
-def test_weighted_norm_flags_wrap():
-    g = FourierGrid(512, 32 * np.pi)
-    _, valid = diag.weighted_norm(modulated_gaussian(g), 10.0)
-    assert not valid
-
-
-# ---------------------------------------------------------------------------
 # energies
 # ---------------------------------------------------------------------------
 
@@ -130,7 +76,7 @@ def test_gauge_energy_constant_state_vanishes():
     g = FourierGrid(32, 2 * np.pi)
     from ekwave.states import EKState
     s = EKState(Field.scalar(g, np.ones(g.shape)), Field.zeros(g, g.dim), 0.0)
-    assert abs(diag.gauge_energy(to_extended(s, QUANTUM), QUANTUM, n=0)) <= 1e-13
+    assert abs(diag.gauge_energy(to_extended(s, QUANTUM), s.rho)) <= 1e-13
 
 
 def test_gauge_energy_n0_identity():
@@ -142,34 +88,17 @@ def test_gauge_energy_n0_identity():
     rho = s.rho.values
     z2 = np.sum(np.abs(ext.u.data + 1j * ext.w.data) ** 2, axis=0)
     direct = float(g.integrate(rho * z2 + 2.0 * (rho - 1.0) ** 2))
-    got = diag.gauge_energy(ext, QUANTUM, n=0)
+    got = diag.gauge_energy(ext, s.rho)
     assert abs(got - direct) <= 1e-10 * max(abs(direct), 1.0)
-
-
-def test_gauge_weights_quantum_are_sqrt_rho():
-    # a == 1, a' == 0: the weight ODE collapses to (phi~^2)' = 1
-    rho = np.geomspace(0.3, 3.0, 25)
-    for n in (0, 1, 2):
-        phi, phi_tilde = diag.gauge_weights(QUANTUM, rho, n)
-        assert np.max(np.abs(phi - np.sqrt(rho))) <= 1e-10
-        assert np.max(np.abs(phi_tilde - np.sqrt(rho))) <= 1e-10
 
 
 def test_gauge_energy_matches_quadratic_hamiltonian():
     g = FourierGrid(128, 2 * np.pi)
     amp = 0.01
     s = generate_initial_data(InitialDataSpec(amplitude=amp), g, QUANTUM, 23)
-    e0 = diag.gauge_energy(to_extended(s, QUANTUM), QUANTUM, n=0)
+    e0 = diag.gauge_energy(to_extended(s, QUANTUM), s.rho)
     h = diag.hamiltonian(s, QUANTUM)
     assert abs(e0 - 2.0 * h) <= 1.0 * amp**3
-
-
-def test_gauge_energy_derivative_budget():
-    g = FourierGrid(32, 2 * np.pi)
-    from ekwave.states import EKState
-    s = EKState(Field.scalar(g, np.ones(g.shape)), Field.zeros(g, g.dim), 0.0)
-    with pytest.raises(DerivativeOrderError):
-        diag.gauge_energy(to_extended(s, QUANTUM), QUANTUM, n=3)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +121,9 @@ def test_decay_fit_planted_power_law():
 
 def test_decay_fit_needs_six_samples():
     t = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-    with pytest.raises(ValueError):
+    # a typed package error, so a scenario reports it instead of crashing
+    assert issubclass(FitError, ValueError)
+    with pytest.raises(FitError):
         diag.decay_fit(t, t**-0.5, window=(0.5, 10.0))
 
 
@@ -239,22 +170,3 @@ def test_resonance_low_frequency_asymptotic():
     model = diag.resonance_asymptotic(eps, eta)
     assert abs(got / model - 1.0) <= 0.05
 
-
-# ---------------------------------------------------------------------------
-# bootstrap envelopes
-# ---------------------------------------------------------------------------
-
-def test_envelope_check_all_zero_passes():
-    hist = [diag.EnvelopeRecord(t=float(t)) for t in range(5)]
-    per_time, first = diag.envelope_check(hist, C=0.1, eps=0.01, delta=0.0,
-                                          decay_exponent=0.5)
-    assert all(per_time) and first is None
-
-
-def test_envelope_check_transport_violation():
-    C, eps, delta = 2.0, 0.01, 0.05
-    hist = [diag.EnvelopeRecord(t=0.0, transport=2.0 * C * delta),
-            diag.EnvelopeRecord(t=1.0)]
-    per_time, first = diag.envelope_check(hist, C, eps, delta, 0.5)
-    assert per_time == [False, True]
-    assert first == 0.0

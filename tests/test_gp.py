@@ -119,7 +119,8 @@ def test_time_reversal_round_trip():
     w0 = wave(g, 6, amp=0.15)
     T = 0.1
     fwd = gp.gp_evolve(w0, T, 1e-4, QUANTUM)
-    back = gp.gp_evolve(fwd.conjugate(), T, 1e-4, QUANTUM)
+    conj = gp.WaveFunction(Field.scalar(g, np.conj(fwd.psi.values)), fwd.time)
+    back = gp.gp_evolve(conj, T, 1e-4, QUANTUM)
     final = np.conj(back.psi.values)
     err = np.sqrt(np.mean(np.abs(final - w0.psi.values) ** 2))
     assert err <= 1e-6 * np.sqrt(np.mean(np.abs(w0.psi.values) ** 2))

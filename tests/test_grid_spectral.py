@@ -130,7 +130,7 @@ def test_operators_on_half_spectra_match_the_full_layout(shape):
     for op in (proj_q_spec, proj_p_spec, inverse_grad_spec):
         close(op(g, u.spectral), g.cut(op(g, uc.spectral), u.spectral))
     close(jacobian(g, u.spectral), jacobian(g, uc.spectral).real)
-    for spec in (NormSpec(), NormSpec(1, np.inf), NormSpec(2, 4.0, homogeneous=True)):
+    for spec in (NormSpec(), NormSpec(1, np.inf), NormSpec(2, 4.0)):
         close(norm(u, spec), norm(uc, spec))
     h = random_scalar(g, 53)
     hc = Field(g, h.data + 0j)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -248,10 +249,14 @@ def test_cli_config_error_exit_code(tmp_path):
     ("lifespan", ['params.eps="x"']),
     ("normalform", ["params.eps_list=0.1"]),
     ("lifespan", ['params.deltas=[0.04,"a"]']),
+    ("resonance", ["params.eps_list=[]"]),
+    ("normalform", ["params.eps_list=[]"]),
+    ("lifespan", ["params.deltas=[]"]),
 ], ids=["unknown-key", "law-param-typo", "path-into-list", "non-integer-seed",
         "string-dt", "string-snapshot-stride", "string-rho-min-stop",
         "string-amplitude", "removed-dealias-key", "removed-check-stability-key",
-        "params-typo", "string-param", "scalar-for-list-param", "string-in-list-param"])
+        "params-typo", "string-param", "scalar-for-list-param", "string-in-list-param",
+        "empty-resonance-eps-list", "empty-normalform-eps-list", "empty-lifespan-deltas"])
 def test_cli_bad_override_exit_code(command, overrides, capsys):
     argv = [command]
     for ov in overrides:
@@ -283,6 +288,34 @@ def test_cli_unresolved_normalform_is_inconclusive(tmp_path, capsys):
     (verdict,) = report["verdicts"]
     assert verdict["name"] == "cubic_residual_slope"
     assert not verdict["passed"] and verdict["provenance"] == "inconclusive"
+
+
+@pytest.mark.parametrize("command, override, error", [
+    ("dispersion", "params.n_samples=3", "FitError"),
+    ("dispersion", "params.t_min=200", "FitError"),
+    ("blowup", "params.dt=0", "StabilityError"),
+], ids=["dispersion-three-samples", "dispersion-empty-window", "blowup-zero-dt"])
+def test_cli_numerical_error_is_reported(command, override, error, tmp_path, capsys):
+    # a value of the right kind that the computation cannot use ends the
+    # run with exit 1 and the typed error in the report, not a traceback
+    assert cli.main([command, "--out", str(tmp_path), "--override", override]) == 1
+    report = json.loads((tmp_path / f"{command}_report.json").read_text())
+    assert len(report["errors"]) == 1 and report["errors"][0].startswith(error)
+    assert f"[FAIL] {command}: {error}" in capsys.readouterr().out
+
+
+def test_cli_one_eps_normalform_is_inconclusive(tmp_path, capsys):
+    # one amplitude fixes no slope: the verdict is no evidence either way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", np.exceptions.RankWarning)
+        assert cli.main(["normalform", "--out", str(tmp_path),
+                         "--override", "params.eps_list=[0.01]"]) == 1
+    report = json.loads((tmp_path / "normalform_report.json").read_text())
+    assert len(report["tables"]["residual"]) == 1
+    assert report["fitted"]["resolved"] is True
+    (verdict,) = report["verdicts"]
+    assert not verdict["passed"] and verdict["provenance"] == "inconclusive"
+    assert np.isnan(report["fitted"]["slope"])
 
 
 def test_cli_verify_rejects_config_and_override(capsys):

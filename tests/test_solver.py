@@ -147,7 +147,7 @@ def test_strang_self_convergence_second_order():
     for dt in dts:
         cfg = solver.SolverConfig(dt=dt, t_end=0.5)
         traj = solver.simulate(s0, cfg, QUANTUM)
-        finals.append(traj.final_state)
+        finals.append(traj.states[-1])
     # successive-difference Richardson estimate: ratio 4 per dt halving
     errs = [np.sqrt(np.sum(np.abs(finals[i].u.data - finals[i + 1].u.data) ** 2))
             for i in range(len(dts) - 1)]
@@ -162,7 +162,7 @@ def test_energy_drift_shrinks_at_order_two():
     drifts = []
     for dt in (4e-3, 2e-3, 1e-3):
         traj = solver.simulate(s0, solver.SolverConfig(dt=dt, t_end=0.2), QUANTUM)
-        sf = states.from_extended(traj.final_state, QUANTUM)
+        sf = states.from_extended(traj.states[-1], QUANTUM)
         drifts.append(abs(hamiltonian(sf, QUANTUM) - H0) / abs(H0))
     orders = np.log2(np.array(drifts[:-1]) / np.array(drifts[1:]))
     assert np.all(orders >= 1.7) and np.all(orders <= 2.3)
@@ -188,7 +188,7 @@ def test_polynomial_law_energy_drift_shrinks_at_order_two():
     for dt in (0.02, 0.01):
         traj = solver.simulate(s0, solver.SolverConfig(dt=dt, t_end=0.2), POLYNOMIAL)
         assert traj.termination == "reached_t_end"
-        sf = states.from_extended(traj.final_state, POLYNOMIAL)
+        sf = states.from_extended(traj.states[-1], POLYNOMIAL)
         drifts.append(abs(hamiltonian(sf, POLYNOMIAL) - H0) / abs(H0))
     assert 1.7 <= np.log2(drifts[0] / drifts[1]) <= 2.3
 
@@ -200,7 +200,7 @@ def test_mass_conserved_to_integrator_order():
     drifts = []
     for dt in (2e-3, 1e-3):
         traj = solver.simulate(s0, solver.SolverConfig(dt=dt, t_end=0.2), QUANTUM)
-        sf = states.from_extended(traj.final_state, QUANTUM)
+        sf = states.from_extended(traj.states[-1], QUANTUM)
         drifts.append(abs(mass(sf) - m0) / abs(m0))
     assert drifts[1] < drifts[0]
     assert drifts[1] <= 1e-8
@@ -221,7 +221,7 @@ def test_solenoidal_invariance():
     g = FourierGrid((32, 32), (2 * np.pi, 2 * np.pi))
     s0 = small_state(g, 0.05, seed=12, solenoidal=0.0)
     traj = solver.simulate(s0, solver.SolverConfig(dt=5e-3, t_end=0.5), QUANTUM)
-    sf = traj.final_state
+    sf = traj.states[-1]
     pu = proj_p_spec(g, sf.u.spectral)
     unorm = np.sqrt(np.sum(np.abs(sf.u.spectral) ** 2))
     assert np.sqrt(np.sum(np.abs(pu) ** 2)) <= 1e-8 * max(unorm, 1e-30)
@@ -272,7 +272,7 @@ def test_simulate_stops_at_criterion_cap():
                            QUANTUM)
     assert traj.termination == "criterion_cap"
     assert traj.final_time == free.times[4]
-    assert traj.final_state.time == traj.final_time
+    assert traj.states[-1].time == traj.final_time
     assert traj.criterion_history[-1] == free.criterion_history[4]
     assert (len(traj.times) == len(traj.states) == len(traj.min_rho_history)
             == len(traj.criterion_history) == 2)
@@ -322,4 +322,4 @@ def test_drive_calls_encode_and_step_encoded_through_module_globals(monkeypatch)
         assert all(np.all(np.isfinite(f.data)) for f in (ext.l, ext.w, ext.u))
         scale = max(np.max(np.abs(v)), np.max(np.abs(pu)))
         assert np.max(np.abs(div_spec(g, pu))) <= 1e-12 * float(np.max(g.k_magnitude)) * scale
-    assert np.array_equal(ext.u.data, traj.final_state.u.data)
+    assert np.array_equal(ext.u.data, traj.states[-1].u.data)
