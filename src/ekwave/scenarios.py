@@ -38,22 +38,31 @@ _DATA_KEYS = {f.name for f in dataclasses.fields(initial_data.InitialDataSpec)}
 _SOLVER_KEYS = {f.name for f in dataclasses.fields(solver.SolverConfig)}
 _TOP_KEYS = {"schema_version", "scenario", "grid", "laws", "initial_data",
              "solver", "seed", "params"}
-# the params each runner reads, with their defaults, which the runners
-# take from here (see _params); any other key is a config error, so a
-# misspelt key cannot silently run with the default
+# the params each runner reads, each with its default, which the runners
+# take from here (see _params), and its lower bound: "> 0", or ">= 0" for
+# the amplitudes of a sweep, where 0 is a valid row.  Any other key is a
+# config error, so a misspelt key cannot silently run with the default.
 _DEFAULT_PARAMS = {
     "simulate": {},
     # the packet leaves its near-field transient around t ~ width^2,
     # so the fit window starts well past that
-    "dispersion": {"carrier": 1.0, "width": 4.0, "t_min": 30.0, "t_max": 150.0,
-                   "n_samples": 24},
-    "lifespan": {"eps": 0.05, "deltas": [0.04, 0.02, 0.01, 0.0], "T_max": 10.0,
-                 "envelope_C": 1.3},
-    "blowup": {"dt": 1e-4, "forward_time": 0.25, "width": 1.0},
-    "normalform": {"eps_list": [0.02, 0.01, 0.005]},
-    "resonance": {"eps_list": [0.1, 0.05, 0.02, 0.01], "eta": 0.01},
-    "ode": {"eps": 0.05, "deltas": [0.1, 0.05, 0.025, 0.0125], "y0_comparison": 0.1},
+    "dispersion": {"carrier": (1.0, "> 0"), "width": (4.0, "> 0"),
+                   "t_min": (30.0, "> 0"), "t_max": (150.0, "> 0"),
+                   "n_samples": (24, "> 0")},
+    "lifespan": {"eps": (0.05, ">= 0"), "deltas": ([0.04, 0.02, 0.01, 0.0], ">= 0"),
+                 "T_max": (10.0, "> 0"), "envelope_C": (1.3, "> 0")},
+    "blowup": {"dt": (1e-4, "> 0"), "forward_time": (0.25, "> 0"), "width": (1.0, "> 0")},
+    "normalform": {"eps_list": ([0.02, 0.01, 0.005], "> 0")},
+    "resonance": {"eps_list": ([0.1, 0.05, 0.02, 0.01], "> 0"), "eta": (0.01, "> 0")},
+    "ode": {"eps": (0.05, ">= 0"), "deltas": ([0.1, 0.05, 0.025, 0.0125], ">= 0"),
+            "y0_comparison": (0.1, "> 0")},
 }
+_BOUNDS = {"> 0": lambda x: x > 0, ">= 0": lambda x: x >= 0}
+
+
+def _defaults(scenario):
+    return {key: copy.deepcopy(default)
+            for key, (default, _) in _DEFAULT_PARAMS[scenario].items()}
 
 
 def _check_keys(d, allowed, where):
@@ -64,9 +73,10 @@ def _check_keys(d, allowed, where):
 
 def _check_params(params, scenario):
     # each value takes the kind of its default: a real number, an integer,
-    # or a nonempty list of real numbers (a sweep with no entry has no rows)
+    # or a nonempty list of real numbers (a sweep with no entry has no rows);
+    # each number is finite and within its bound
     for key, value in params.items():
-        default = _DEFAULT_PARAMS[scenario][key]
+        default, bound = _DEFAULT_PARAMS[scenario][key]
         if isinstance(default, list):
             ok = (isinstance(value, list) and len(value) > 0
                   and all(is_kind(x, "float") for x in value))
@@ -75,6 +85,10 @@ def _check_params(params, scenario):
         if not ok:
             raise ConfigError(f"params.{key} of {scenario} must be of the kind of "
                               f"{default!r}, got {value!r}")
+        if not all(np.isfinite(x) and _BOUNDS[bound](x)
+                   for x in (value if isinstance(value, list) else [value])):
+            raise ConfigError(f"params.{key} of {scenario} must be finite and "
+                              f"{bound}, got {value!r}")
 
 
 @dataclass
@@ -258,7 +272,7 @@ def default_config(scenario: str) -> ScenarioConfig:
                          "solenoidal": 0.0, "band_limit": 4.0},
         "solver": {"dt": 1e-3, "t_end": 0.5},
         "seed": 20260823,
-        "params": copy.deepcopy(_DEFAULT_PARAMS[scenario]),
+        "params": _defaults(scenario),
     }
     if scenario == "dispersion":
         base["grid"] = {"shape": [4096], "lengths": [400.0 * np.pi]}
@@ -300,7 +314,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Optional[str] = None) -> Scenario
 
 def _params(cfg):
     # the scenario's params over their defaults
-    return {**_DEFAULT_PARAMS[cfg.scenario], **cfg.params}
+    return {**_defaults(cfg.scenario), **cfg.params}
 
 
 def _run_dispersion(cfg, report):

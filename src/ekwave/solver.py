@@ -10,7 +10,12 @@ as a rotation of each mode's pair (Qu, U^{-1} w), and the remaining
 quadratic tendencies, always dealiased by the 2/3 rule, are advanced with
 classical RK4.  :func:`step_encoded` takes and returns the encoded state
 with no change of layout, and every transform is real-to-complex or
-complex-to-real.  Velocity gradients come from ``spectral.jacobian``.
+complex-to-real.  The tendencies advect the whole velocity
+``u = Pu + Qu``, sampled once and differentiated once by
+``spectral.jacobian``: ``(u.grad)u`` is the paper's split form
+``(u.grad)Pu + (Pu.grad)Qu + (Qu.grad)Qu``, whose last term is
+``grad|Qu|^2/2`` because Qu is curl-free, and ``trace(grad u) = div Qu``
+because Pu is divergence-free with the same Nyquist-zeroed wavenumbers.
 One loop, ``_drive``, steps every run:
 ``simulate`` and ``lifespan_experiment`` differ only in the monitor's
 sample stride, the states they keep and an optional extra stop rule.  The
@@ -99,9 +104,18 @@ def nonlinear_tendencies(grid: FourierGrid, laws: ConstitutiveLaws,
     excluded; it is applied exactly by the splitting.  Returns
     ``(dv, dPu, dlmean)`` with the field tendencies as half spectra, so
     every transform is real-to-complex or complex-to-real.
+
+    The velocity is advected whole: ``adv = (u.grad)u`` with
+    ``u = Pu + Qu`` gives ``dPu = -P(adv)`` and its Q part goes to dQu.
+    That is the split form ``(u.grad)Pu + (Pu.grad)Qu + grad|Qu|^2/2``
+    term for term, since ``(Qu.grad)Qu = grad|Qu|^2/2`` for curl-free Qu
+    and P removes every gradient.  ``trace(grad u)`` is ``div Qu``:
+    ``proj_p_spec`` zeroes ``xi . Pu`` with the Nyquist-zeroed wavenumbers
+    that ``jacobian`` differentiates with, so ``div Pu`` is round-off.
     """
     qu_spec, w_spec, l_spec = unpack(grid, v, lmean)
-    qu = grid.ifft(qu_spec)
+    u_spec = pu_spec + qu_spec
+    u = grid.ifft(u_spec)
     w = grid.ifft(w_spec)
     rho = laws.rho_of_l(grid.ifft(l_spec))
     laws.check_density(rho, "tendency evaluation")
@@ -109,29 +123,24 @@ def nonlinear_tendencies(grid: FourierGrid, laws: ConstitutiveLaws,
     # pressure slope with respect to the potential variable:
     # d g(rho(l)) / dl = g'(rho) drho/dl = g'(rho) rho / a(rho)
     gp = laws.dg(rho) * rho / a
-    pu = grid.ifft(pu_spec)
-    u = pu + qu
-    grad_qu = jacobian(grid, qu_spec)
-    divqu = np.trace(grad_qu)
+    grad_u = jacobian(grid, u_spec)
+    divqu = np.trace(grad_u)
     u_dot_w = np.sum(u * w, axis=0)
 
     # potential equation: full dl = -u.w - a div(Qu); linear part -div(Qu)
     dlmean = float(np.mean(-u_dot_w - a * divqu))
     dw_nl = grad_spec(grid, _dealias_fft(grid, -u_dot_w + (1.0 - a) * divqu, dealias))
 
-    # advective coupling through the solenoidal part
-    # u.grad Pu + Pu.grad Qu; Qu.grad Qu = grad|Qu|^2/2 is in quad below
-    adv = (np.einsum("i...,ij...->j...", u, jacobian(grid, pu_spec))
-           + np.einsum("i...,ij...->j...", pu, grad_qu))
-    adv_spec = _dealias_fft(grid, adv, dealias)
+    adv_spec = _dealias_fft(grid, np.einsum("i...,ij...->j...", u, grad_u), dealias)
 
-    # the gradient terms grad((a - 1) div w - quad) share one transform
-    quad = 0.5 * (np.sum(qu * qu, axis=0) - np.sum(w * w, axis=0))
+    # the gradient terms grad((a - 1) div w + |w|^2/2) share one transform
     divw = grid.ifft(div_spec(grid, w_spec))
-    grad_terms = grad_spec(grid, _dealias_fft(grid, (a - 1.0) * divw - quad, dealias))
+    grad_terms = grad_spec(grid, _dealias_fft(
+        grid, (a - 1.0) * divw + 0.5 * np.sum(w * w, axis=0), dealias))
     relax_spec = _dealias_fft(grid, (2.0 - gp) * w, dealias)
 
-    # dQu gets -Q(adv); Q is idempotent, so one projection of the sum does
+    # Q is idempotent and the identity on gradients, so one projection of
+    # the sum does
     dqu_nl = proj_q_spec(grid, -adv_spec + grad_terms + relax_spec)
     dv = np.stack([dqu_nl, grid.cut(symbol_u_inv(grid), dw_nl) * dw_nl])
     return dv, -proj_p_spec(grid, adv_spec), dlmean
@@ -206,8 +215,6 @@ def step_encoded(grid, laws, cfg, v, pu, lmean):
     """One Strang step of the encoded state ``(v, Pu, mean l)``: exact
     half-wave, RK4 on the nonlinear tendencies, half-wave."""
     dt = cfg.dt
-    if dt == 0.0:
-        return v, pu, lmean
     cos, sin = (grid.cut(x, v) for x in _half_wave(grid, dt))
 
     def rotate(v):
@@ -233,13 +240,6 @@ def step_encoded(grid, laws, cfg, v, pu, lmean):
     if not (np.all(np.isfinite(v)) and np.all(np.isfinite(pu)) and np.isfinite(lmean)):
         raise FloatingPointError("non-finite values after step")
     return v, pu, lmean
-
-
-def step(s: ExtendedState, cfg: SolverConfig, laws: ConstitutiveLaws) -> ExtendedState:
-    """Advance one time step, returning a valid extended state."""
-    _check_dt(s, cfg, laws)
-    v, pu, lmean = step_encoded(s.grid, laws, cfg, *encode(s))
-    return decode(s.grid, v, pu, lmean, s.time + cfg.dt)
 
 
 def _monitor(grid, laws, v, pu, lmean):

@@ -1,9 +1,11 @@
 """No dead code in the package: every import is used, every definition has a caller.
 
 The scan is syntactic.  A name counts as referenced where it appears as a
-bare name, as an attribute, or as an identifier-shaped string constant
-(the benchmark names the functions it traces by string).  A definition
-needs a reference from the program, that is from a module of
+bare name that no enclosing function binds, as an attribute, or as an
+identifier-shaped string constant (the benchmark names the functions it
+traces by string).  A function binds its arguments and its assignment
+targets, so a local that shares a definition's name does not call it.  A
+definition needs a reference from the program, that is from a module of
 ``src/ekwave`` or ``perfbench``; one that only ``tests`` reference is
 test-only code, unless it is one of the named exceptions below.
 """
@@ -29,16 +31,42 @@ def parse(path):
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def bound_in(func):
+    """The locals of ``func``: its arguments and its assignment targets,
+    leaving out those of the functions nested in it."""
+    args = func.args
+    bound = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+    bound |= {a.arg for a in (args.vararg, args.kwarg) if a is not None}
+    stack = list(ast.iter_child_nodes(func))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+        if not isinstance(node, FUNCTIONS):
+            stack.extend(ast.iter_child_nodes(node))
+    return bound
+
+
 def references(tree):
     names = set()
-    for node in ast.walk(tree):
+    # each node with the locals of the functions that enclose it
+    stack = [(tree, frozenset())]
+    while stack:
+        node, local = stack.pop()
+        if isinstance(node, FUNCTIONS):
+            local = local | bound_in(node)
         if isinstance(node, ast.Name):
-            names.add(node.id)
+            if node.id not in local:
+                names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
                 and node.value.isidentifier():
             names.add(node.value)
+        stack.extend((child, local) for child in ast.iter_child_nodes(node))
     return names
 
 

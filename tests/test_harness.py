@@ -252,11 +252,21 @@ def test_cli_config_error_exit_code(tmp_path):
     ("resonance", ["params.eps_list=[]"]),
     ("normalform", ["params.eps_list=[]"]),
     ("lifespan", ["params.deltas=[]"]),
+    ("dispersion", ["params.n_samples=-1"]),
+    ("blowup", ["params.width=0"]),
+    ("ode", ["params.y0_comparison=0"]),
+    ("lifespan", ["params.T_max=-1"]),
+    ("lifespan", ["params.T_max=Infinity"]),
+    ("lifespan", ["params.deltas=[0.04,-0.01]"]),
+    ("blowup", ["params.dt=0"]),
 ], ids=["unknown-key", "law-param-typo", "path-into-list", "non-integer-seed",
         "string-dt", "string-snapshot-stride", "string-rho-min-stop",
         "string-amplitude", "removed-dealias-key", "removed-check-stability-key",
         "params-typo", "string-param", "scalar-for-list-param", "string-in-list-param",
-        "empty-resonance-eps-list", "empty-normalform-eps-list", "empty-lifespan-deltas"])
+        "empty-resonance-eps-list", "empty-normalform-eps-list", "empty-lifespan-deltas",
+        "negative-dispersion-n-samples", "zero-blowup-width", "zero-ode-y0-comparison",
+        "negative-lifespan-T-max", "infinite-lifespan-T-max", "negative-lifespan-delta",
+        "blowup-zero-dt"])
 def test_cli_bad_override_exit_code(command, overrides, capsys):
     argv = [command]
     for ov in overrides:
@@ -293,8 +303,7 @@ def test_cli_unresolved_normalform_is_inconclusive(tmp_path, capsys):
 @pytest.mark.parametrize("command, override, error", [
     ("dispersion", "params.n_samples=3", "FitError"),
     ("dispersion", "params.t_min=200", "FitError"),
-    ("blowup", "params.dt=0", "StabilityError"),
-], ids=["dispersion-three-samples", "dispersion-empty-window", "blowup-zero-dt"])
+], ids=["dispersion-three-samples", "dispersion-empty-window"])
 def test_cli_numerical_error_is_reported(command, override, error, tmp_path, capsys):
     # a value of the right kind that the computation cannot use ends the
     # run with exit 1 and the typed error in the report, not a traceback

@@ -104,6 +104,26 @@ def test_nonlinearity_is_quadratic():
     assert 0.8 * 2.0 <= ratios[0] / ratios[1] <= 1.2 * 2.0
 
 
+TRANSFORM_COUNTS = {"1d": ((64,), 5, 4), "2d": ((32, 32), 10, 6), "3d": ((16, 16, 16), 17, 8)}
+
+
+@pytest.mark.parametrize("shape, inverse, forward", TRANSFORM_COUNTS.values(),
+                         ids=TRANSFORM_COUNTS.keys())
+def test_tendencies_transform_counts(shape, inverse, forward, monkeypatch):
+    # scalar transforms per evaluation: the velocity is sampled once and
+    # differentiated once, in d + d + 1 + d^2 + 1 inverse transforms
+    g = FourierGrid(shape, 2 * np.pi)
+    encoded = solver.encode(states.to_extended(small_state(g, 0.05, seed=3), QUANTUM))
+    calls = {"ifft": 0, "fft": 0}
+    for name in calls:
+        def counted(self, values, *args, _name=name, _transform=getattr(FourierGrid, name)):
+            calls[_name] += int(np.prod(np.shape(values)[:-self.dim]))
+            return _transform(self, values, *args)
+        monkeypatch.setattr(FourierGrid, name, counted)
+    solver.nonlinear_tendencies(g, QUANTUM, *encoded)
+    assert (calls["ifft"], calls["fft"]) == (inverse, forward)
+
+
 def test_half_wave_is_the_linear_flow_on_the_half_layout():
     # the rotation of each mode's pair (Qu, U^{-1}w) is e^{i(dt/2)H} on psi
     g = FourierGrid((32, 32), (2 * np.pi, 2 * np.pi))
@@ -134,7 +154,7 @@ def test_step_dt_zero_is_identity():
     g = FourierGrid(32, 2 * np.pi)
     ext = states.to_extended(small_state(g, 0.05, seed=6), QUANTUM)
     cfg = solver.SolverConfig(dt=0.0, t_end=1.0)
-    out = solver.step(ext, cfg, QUANTUM)
+    out = solver.decode(g, *solver.step_encoded(g, QUANTUM, cfg, *solver.encode(ext)), ext.time)
     assert np.max(np.abs(out.w.data - ext.w.data)) <= 1e-13
     assert np.max(np.abs(out.u.data - ext.u.data)) <= 1e-13
 
