@@ -1,8 +1,8 @@
 """Measurement machinery: norms, energies, decay fits and resonances.
 
-Everything here is a pure function of fields and states.  The one solver
-use is the lifespan sweep's transport envelope, which measures Pu with
-:func:`norm`.
+Everything here is a pure function of spectra, fields and states.  The
+one solver use is the lifespan sweep's transport envelope, which measures
+the half spectrum of Pu with :func:`norm`.
 """
 
 from __future__ import annotations
@@ -41,21 +41,21 @@ class NormSpec:
             raise DerivativeOrderError("integrability exponent must exceed 1")
 
 
-def norm(f: Field, spec: NormSpec = NormSpec()) -> float:
+def norm(grid: FourierGrid, spectrum, spec: NormSpec = NormSpec()) -> float:
     """W^{k,p} norm by spectral differentiation and torus quadrature.
 
-    Works on the cached spectrum of ``f`` in either layout.  Exact at p = 2,
+    Takes a spectrum in either layout, with a leading component axis, such
+    as a field's ``spectral``.  Exact at p = 2,
     where the trapezoid sum of the weighted samples equals the spectral sum
     (discrete Parseval); for other finite p the pointwise power is sampled
     on a twice-refined grid before averaging, since powers of band-limited
     fields are not band-limited.
     """
-    grid = f.grid
     if spec.k > min(grid.shape) // 3:
         raise DerivativeOrderError(
             f"derivative order {spec.k} too high for grid shape {grid.shape}"
         )
-    weighted = f.spectral * grid.cut((1.0 + grid.k_squared) ** (spec.k / 2.0), f.spectral)
+    weighted = spectrum * grid.cut((1.0 + grid.k_squared) ** (spec.k / 2.0), spectrum)
     mag2 = np.sum(np.abs(grid.ifft(weighted)) ** 2, axis=0)
     if spec.p == 2.0:
         return float(np.sqrt(grid.integrate(mag2)))

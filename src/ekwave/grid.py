@@ -213,11 +213,6 @@ class Field:
         return cls(grid, values)
 
     @classmethod
-    def zeros(cls, grid, ncomp=1, complex_kind=False):
-        dtype = complex if complex_kind else float
-        return cls(grid, np.zeros((ncomp,) + grid.shape, dtype=dtype))
-
-    @classmethod
     def from_spectral(cls, grid, spectrum):
         """The field with spectrum ``spectrum``, kept as its cached
         ``spectral``: a real field from a half spectrum, a complex one from

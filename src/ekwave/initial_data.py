@@ -81,12 +81,11 @@ def generate_initial_data(spec: InitialDataSpec, grid: FourierGrid,
             raise ConfigError("no nontrivial divergence-free fields exist in 1d")
         vspec = grid.fft(rng.standard_normal((grid.dim,) + grid.shape))
         vspec = proj_p_spec(grid, vspec * grid.cut(_band_mask(grid, spec.band_limit), vspec))
-        v = Field.from_spectral(grid, vspec)
         from .diagnostics import NormSpec, norm
-        measured = norm(v, NormSpec(spec.norm_k, spec.norm_p))
+        measured = norm(grid, vspec, NormSpec(spec.norm_k, spec.norm_p))
         if measured == 0.0:
             raise ConfigError("solenoidal draw vanished; enlarge the band limit")
-        u = u + (spec.solenoidal / measured) * v.data
+        u = u + (spec.solenoidal / measured) * grid.ifft(vspec)
 
     return EKState(rho=Field.scalar(grid, rho), u=Field.vector(grid, u))
 

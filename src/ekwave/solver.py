@@ -18,9 +18,12 @@ complex-to-real.  The tendencies advect the whole velocity
 because Pu is divergence-free with the same Nyquist-zeroed wavenumbers.
 One loop, ``_drive``, steps every run:
 ``simulate`` and ``lifespan_experiment`` differ only in the monitor's
-sample stride, the states they keep and an optional extra stop rule.  The
-primitive-variable (rho, u) right-hand side, in any dimension, is kept as
-a cross-check.
+sample stride, the states they keep and an optional extra stop rule; both
+check dt against :func:`stability_bound` first.  :func:`rhs_extended` adds
+the linear parts to the tendencies and returns the half spectra of
+(dl, dw, du), from which :func:`normal_form_residual` builds the cubic
+residual on spectra.  The primitive-variable (rho, u) right-hand side, in
+any dimension, is kept as a cross-check.
 """
 
 from __future__ import annotations
@@ -147,9 +150,10 @@ def nonlinear_tendencies(grid: FourierGrid, laws: ConstitutiveLaws,
 
 
 def rhs_extended(s: ExtendedState, laws: ConstitutiveLaws, dealias=True):
-    """Full tendencies (dl, dw, du) of the extended formulation.
+    """Half spectra of the full tendencies (dl, dw, du) of the extended formulation.
 
-    ``dw`` is computed as the spectral gradient of ``dl``, so the
+    This is the one place where the linear parts join the nonlinear
+    tendencies.  ``dw`` is computed as the spectral gradient of ``dl``, so the
     gradient structure of w is preserved exactly at the level of the
     right-hand side.  ``dl`` is the primitive of ``dw`` plus the mean
     tendency, which is how the encoded state carries l.
@@ -165,11 +169,7 @@ def rhs_extended(s: ExtendedState, laws: ConstitutiveLaws, dealias=True):
         lin_l = lin_l * grid.cut(grid.dealias_mask, lin_l)
     dl_spec = dl_nl - lin_l
     du_spec = dqu_nl - (grid.cut(grid.k_squared, w_spec) + 2.0) * w_spec + dpu
-
-    dl = Field.from_spectral(grid, dl_spec)
-    dw = Field.from_spectral(grid, grad_spec(grid, dl_spec))
-    du = Field.from_spectral(grid, du_spec)
-    return dl, dw, du
+    return dl_spec, grad_spec(grid, dl_spec), du_spec
 
 
 # ---------------------------------------------------------------------------
@@ -338,22 +338,23 @@ def normal_form_residual(s: ExtendedState, laws: ConstitutiveLaws) -> Field:
 
     of cubic order.  The time derivative of w1 is expanded through the
     bilinearity of B using the full tendencies of the untransformed
-    system.
+    system.  Every term is a half spectrum; Qu and Pu are sampled only for
+    the two products, and the residual is the one field built.
     """
     grid = s.grid
-    _, dw, du = rhs_extended(s, laws)
-    qu = Field.from_spectral(grid, proj_q_spec(grid, s.u.spectral))
-    pu = Field.from_spectral(grid, proj_p_spec(grid, s.u.spectral))
-    dqu = Field.from_spectral(grid, proj_q_spec(grid, du.spectral))
+    _, dw_spec, du_spec = rhs_extended(s, laws)
+    qu_spec = proj_q_spec(grid, s.u.spectral)
+    dqu_spec = proj_q_spec(grid, du_spec)
 
-    b_w = bilinear_B(s.w, dw, laws.strength)
-    b_q = bilinear_B(qu, dqu, laws.strength)
-    dw1_spec = dw.spectral - grad_spec(grid, 2.0 * (b_w.spectral[0] - b_q.spectral[0]))
+    b = (bilinear_B(grid, s.w.spectral, dw_spec, laws.strength)
+         - bilinear_B(grid, qu_spec, dqu_spec, laws.strength))
+    dw1_spec = dw_spec - grad_spec(grid, 2.0 * b[0])
 
     a = laws.a(laws.rho_of_l(s.l.values))
-    lap_qu = -grid.cut(grid.k_squared, qu.spectral) * qu.spectral
-    graddiv = grad_spec(grid, div_spec(grid, grid.fft((1.0 - a)[None] * qu.data)))
-    grad_puw = grad_spec(grid, grid.fft(np.sum(pu.data * s.w.data, axis=0)))
+    lap_qu = -grid.cut(grid.k_squared, qu_spec) * qu_spec
+    graddiv = grad_spec(grid, div_spec(grid, grid.fft((1.0 - a)[None] * grid.ifft(qu_spec))))
+    pu = grid.ifft(proj_p_spec(grid, s.u.spectral))
+    grad_puw = grad_spec(grid, grid.fft(np.sum(pu * s.w.data, axis=0)))
     return Field.from_spectral(grid, dw1_spec + lap_qu - graddiv + grad_puw)
 
 
@@ -370,18 +371,20 @@ def lifespan_experiment(eps, delta_list, grid, laws, cfg, seed, T_max,
     its initial value; skipped when delta = 0), the vacuum monitor and the
     continuation-criterion cap, all checked every ``LIFESPAN_STRIDE``
     steps.  Runs reaching ``T_max`` are censored.  Every delta reuses the
-    same seed, so the sweep varies only the solenoidal amplitude.
+    same seed, so the sweep varies only the solenoidal amplitude.  Each
+    row's initial state is checked against the stability bound, as in
+    :func:`simulate`.
     """
     rows = []
     for delta in delta_list:
         ids = InitialDataSpec(amplitude=eps, solenoidal=float(delta),
                               band_limit=band_limit)
         ext = to_extended(generate_initial_data(ids, grid, laws, seed), laws)
-        limit = envelope_C * norm(
-            Field.from_spectral(grid, proj_p_spec(grid, ext.u.spectral)), ENVELOPE_NORM)
+        _check_dt(ext, cfg, laws)
+        limit = envelope_C * norm(grid, proj_p_spec(grid, ext.u.spectral), ENVELOPE_NORM)
 
         def envelope(v, pu, lmean):
-            transport = norm(Field.from_spectral(grid, pu), ENVELOPE_NORM)
+            transport = norm(grid, pu, ENVELOPE_NORM)
             return "envelope" if transport > limit else None
 
         traj = _drive(ext, cfg, laws, T_max, LIFESPAN_STRIDE,

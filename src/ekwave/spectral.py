@@ -16,8 +16,8 @@ gradient parts; on the mean mode both are defined as zero.
 One layout rule holds throughout (:mod:`ekwave.grid`): a real field's
 spectrum is its half spectrum, a complex field's its full spectrum.  The
 operators on spectra take either layout and slice the per-grid arrays to it
-with ``grid.cut``; :func:`bilinear_B` works on the half spectra of real
-operands.
+with ``grid.cut``; :func:`bilinear_B` takes the half spectra of two real
+operands and returns the half spectrum of their pseudo-product.
 """
 
 from __future__ import annotations
@@ -157,49 +157,44 @@ def _heat_quadrature_nodes(n):
     return tau, 0.5 * weights
 
 
-def bilinear_B(f: Field, g: Field, strength: float) -> Field:
+def bilinear_B(grid: FourierGrid, fspec, gspec, strength: float):
     """Bilinear pseudo-product with symbol ``strength / (2 (2 + |eta|^2 + |zeta|^2))``.
 
-    Evaluated through the heat-kernel representation
+    Takes the half spectra of two real operands with the same leading
+    component axis and returns the half spectrum of B[f, g], of shape
+    ``(1, *half)``.  Evaluated through the heat-kernel representation
 
         B[f, g] = (strength/2) * int_0^inf e^{-2s} (e^{s Lap} f)(e^{s Lap} g) ds,
 
     with the substitution ``s = -ln(1 - tau)/2`` and Gauss-Legendre nodes
     on ``(0, 1)``, doubling the node count until two successive results
     agree to ``BILINEAR_TOL`` (relative, L^2).  Vector inputs contract to the dot
-    product; scalar inputs give the scalar pseudo-product.  A real pair is
-    evaluated on half spectra; a pair with a complex operand on full ones.
+    product; scalar inputs give the scalar pseudo-product.
     """
-    if f.grid is not g.grid and f.grid != g.grid:
-        raise ComponentError("bilinear_B operands must share a grid")
-    if f.ncomp != g.ncomp:
-        raise ComponentError("bilinear_B operands must have equal component counts")
-    grid = f.grid
-    real = f.is_real and g.is_real
+    if fspec.shape != gspec.shape:
+        raise ComponentError("bilinear_B operands must have equal shapes")
     if strength == 0.0:
-        return Field.zeros(grid, 1, complex_kind=not real)
+        return np.zeros((1,) + fspec.shape[1:], dtype=complex)
 
     zero = (0,) * grid.dim
     # Split off the mean modes analytically: against a constant the symbol
     # collapses to the linear multiplier strength/(2(2+|zeta|^2)), and the
     # heat-kernel integrand of the remaining mean-free part vanishes fast
     # enough at the endpoint for the node-doubling quadrature to converge.
-    fspec = (f.spectral if real else grid.fft(f.data.astype(complex))).copy()
-    gspec = (g.spectral if real else grid.fft(g.data.astype(complex))).copy()
+    fspec, gspec = fspec.copy(), gspec.copy()
     k2 = grid.cut(grid.k_squared, fspec)
     fbar = fspec[(Ellipsis,) + zero] / grid.npoints
     gbar = gspec[(Ellipsis,) + zero] / grid.npoints
     fspec[(Ellipsis,) + zero] = 0.0
     gspec[(Ellipsis,) + zero] = 0.0
-    cross = sum(fbar[c] * gspec[c] + gbar[c] * fspec[c] for c in range(f.ncomp))
+    cross = sum(fbar[c] * gspec[c] + gbar[c] * fspec[c] for c in range(len(fspec)))
     mean_spec = cross / (2.0 * (2.0 + k2))
     mean_spec[zero] = np.sum(fbar * gbar) / 4.0 * grid.npoints
-    mean_field = grid.ifft(mean_spec)
 
     def evaluate(n):
         tau, wts = _heat_quadrature_nodes(n)
         s = -np.log1p(-tau) / 2.0
-        acc = np.zeros(grid.shape, dtype=float if real else complex)
+        acc = np.zeros(grid.shape)
         for si, wi in zip(s, wts):
             heat = np.exp(-si * k2)
             fs = grid.ifft(fspec * heat)
@@ -211,9 +206,9 @@ def bilinear_B(f: Field, g: Field, strength: float) -> Field:
     n = 16
     while n <= BILINEAR_MAX_NODES:
         cur = evaluate(n)
-        scale = max(np.sqrt(np.sum(np.abs(cur) ** 2)), 1e-300)
-        if np.sqrt(np.sum(np.abs(cur - prev) ** 2)) <= BILINEAR_TOL * scale:
-            return Field.scalar(grid, strength * (cur + mean_field))
+        scale = max(np.sqrt(np.sum(cur ** 2)), 1e-300)
+        if np.sqrt(np.sum((cur - prev) ** 2)) <= BILINEAR_TOL * scale:
+            return (strength * (grid.fft(cur) + mean_spec))[None]
         prev = cur
         n *= 2
     raise QuadratureError(

@@ -19,7 +19,10 @@ is, and every transform is real-to-complex or complex-to-real.
 map between (l, w, u) and the encoded state; the solver, its monitor and
 the normal form all go through them.  :func:`normal_form` returns the
 encoded state with the quadratic change of unknown ``w -> w1`` applied
-inside ``v``.
+inside ``v``.  The normal form works on half spectra throughout:
+:func:`normal_form_correction` returns the half spectrum of ``w1 - w``,
+and :func:`invert_normal_form` iterates on spectra and builds fields only
+for the state it returns.
 """
 
 from __future__ import annotations
@@ -175,7 +178,7 @@ def normal_form(s: ExtendedState, laws: ConstitutiveLaws) -> NormalForm:
     """Encode ``s`` with ``w1 = w - grad(B[w,w] - B[Qu,Qu])`` in place of w."""
     grid = s.grid
     v, pu, lmean = encode(s)
-    v[1] += grid.cut(symbol_u_inv(grid), v) * normal_form_correction(s, laws).spectral
+    v[1] += grid.cut(symbol_u_inv(grid), v) * normal_form_correction(s, laws)
     return NormalForm(grid, v, pu, lmean, s.time)
 
 
@@ -190,8 +193,7 @@ def invert_normal_form(d: NormalForm, laws: ConstitutiveLaws):
     if laws.strength != 0.0:
 
         def grad_b(f_spec):
-            f = Field.from_spectral(grid, f_spec)
-            return grad_spec(grid, bilinear_B(f, f, laws.strength).spectral[0])
+            return grad_spec(grid, bilinear_B(grid, f_spec, f_spec, laws.strength)[0])
 
         qu_corr = grad_b(qu_spec)
         scale = max(float(np.max(np.abs(w1_spec))) / grid.npoints, 1e-300)
@@ -208,13 +210,11 @@ def invert_normal_form(d: NormalForm, laws: ConstitutiveLaws):
     return _extended(grid, _l_spec(grid, w_spec, d.lmean), d.pu + qu_spec, d.time), iters
 
 
-def normal_form_correction(s: ExtendedState, laws: ConstitutiveLaws) -> Field:
-    """w1 - w as a field (a perfect gradient, quadratic in the amplitude)."""
+def normal_form_correction(s: ExtendedState, laws: ConstitutiveLaws) -> np.ndarray:
+    """The half spectrum of w1 - w (a perfect gradient, quadratic in the amplitude)."""
     grid = s.grid
-    if laws.strength == 0.0:
-        return Field.zeros(grid, grid.dim)
-    qu = Field.from_spectral(grid, proj_q_spec(grid, s.u.spectral))
-    bqq = bilinear_B(qu, qu, laws.strength)
-    bww = bilinear_B(s.w, s.w, laws.strength)
-    corr = grad_spec(grid, bww.spectral[0] - bqq.spectral[0])
-    return Field.from_spectral(grid, -corr)
+    qu_spec = proj_q_spec(grid, s.u.spectral)
+    w_spec = s.w.spectral
+    b = (bilinear_B(grid, w_spec, w_spec, laws.strength)
+         - bilinear_B(grid, qu_spec, qu_spec, laws.strength))
+    return -grad_spec(grid, b[0])

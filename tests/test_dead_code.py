@@ -3,7 +3,9 @@
 The scan is syntactic.  A name counts as referenced where it appears as a
 bare name that no enclosing function binds, as an attribute, or as an
 identifier-shaped string constant (the benchmark names the functions it
-traces by string).  A function binds its arguments and its assignment
+traces by string).  An attribute of an outside module (``np.zeros``,
+``scipy.fft.rfftn``) is no reference: its root name is bound by an import
+from outside ``ekwave``.  A function binds its arguments and its assignment
 targets, so a local that shares a definition's name does not call it.  A
 definition needs a reference from the program, that is from a module of
 ``src/ekwave`` or ``perfbench``; one that only ``tests`` reference is
@@ -50,8 +52,28 @@ def bound_in(func):
     return bound
 
 
+def outside_imports(tree):
+    """Names that imports of modules outside ``ekwave`` bind in ``tree``."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {alias.asname or alias.name.split(".")[0] for alias in node.names
+                      if alias.name.split(".")[0] != "ekwave"}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 \
+                and node.module.split(".")[0] != "ekwave":
+            bound |= {alias.asname or alias.name for alias in node.names}
+    return bound
+
+
+def attribute_root(node):
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node
+
+
 def references(tree):
     names = set()
+    outside = outside_imports(tree)
     # each node with the locals of the functions that enclose it
     stack = [(tree, frozenset())]
     while stack:
@@ -62,7 +84,10 @@ def references(tree):
             if node.id not in local:
                 names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            root = attribute_root(node)
+            if not (isinstance(root, ast.Name) and root.id in outside
+                    and root.id not in local):
+                names.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
                 and node.value.isidentifier():
             names.add(node.value)

@@ -45,8 +45,7 @@ def test_solenoidal_norm_is_renormalized():
     g = FourierGrid((64, 64), (2 * np.pi, 2 * np.pi))
     spec = InitialDataSpec(amplitude=0.05, solenoidal=0.03)
     s = generate_initial_data(spec, g, QUANTUM, 5)
-    pu = Field.from_spectral(g, proj_p_spec(g, s.u.spectral))
-    assert abs(norm(pu, NormSpec(0, 2.0)) - 0.03) <= 1e-10
+    assert abs(norm(g, proj_p_spec(g, s.u.spectral), NormSpec(0, 2.0)) - 0.03) <= 1e-10
 
 
 def test_solenoidal_rejected_in_one_dimension():
@@ -300,14 +299,19 @@ def test_cli_unresolved_normalform_is_inconclusive(tmp_path, capsys):
     assert not verdict["passed"] and verdict["provenance"] == "inconclusive"
 
 
-@pytest.mark.parametrize("command, override, error", [
-    ("dispersion", "params.n_samples=3", "FitError"),
-    ("dispersion", "params.t_min=200", "FitError"),
-], ids=["dispersion-three-samples", "dispersion-empty-window"])
-def test_cli_numerical_error_is_reported(command, override, error, tmp_path, capsys):
+@pytest.mark.parametrize("command, overrides, error", [
+    ("dispersion", ["params.n_samples=3"], "FitError"),
+    ("dispersion", ["params.t_min=200"], "FitError"),
+    ("lifespan", ["grid.shape=[16,16]", "solver.dt=3.0", "params.T_max=30"],
+     "StabilityError"),
+], ids=["dispersion-three-samples", "dispersion-empty-window", "lifespan-unstable-dt"])
+def test_cli_numerical_error_is_reported(command, overrides, error, tmp_path, capsys):
     # a value of the right kind that the computation cannot use ends the
     # run with exit 1 and the typed error in the report, not a traceback
-    assert cli.main([command, "--out", str(tmp_path), "--override", override]) == 1
+    argv = [command, "--out", str(tmp_path)]
+    for override in overrides:
+        argv += ["--override", override]
+    assert cli.main(argv) == 1
     report = json.loads((tmp_path / f"{command}_report.json").read_text())
     assert len(report["errors"]) == 1 and report["errors"][0].startswith(error)
     assert f"[FAIL] {command}: {error}" in capsys.readouterr().out

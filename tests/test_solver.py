@@ -6,7 +6,7 @@ import pytest
 from ekwave.errors import StabilityError
 from ekwave.grid import Field, FourierGrid
 from ekwave.laws import ConstitutiveLaws
-from ekwave import gp, scenarios, solver, states
+from ekwave import gp, scenarios, solver, spectral, states
 from ekwave.diagnostics import hamiltonian, mass
 from ekwave.initial_data import InitialDataSpec, generate_initial_data
 from ekwave.spectral import div_spec, grad_spec, linear_flow, proj_p_spec
@@ -23,10 +23,10 @@ def small_state(grid, amplitude, seed=42, solenoidal=0.0):
 
 def test_constant_state_has_zero_tendencies():
     g = FourierGrid(32, 2 * np.pi)
-    s = states.EKState(Field.scalar(g, np.ones(g.shape)), Field.zeros(g, g.dim), 0.0)
-    dl, dw, du = solver.rhs_extended(states.to_extended(s, QUANTUM), QUANTUM)
-    for f in (dl, dw, du):
-        assert np.max(np.abs(f.data)) <= 1e-13
+    s = states.EKState(Field.scalar(g, np.ones(g.shape)),
+                       Field.vector(g, np.zeros((g.dim,) + g.shape)), 0.0)
+    for spec in solver.rhs_extended(states.to_extended(s, QUANTUM), QUANTUM):
+        assert np.max(np.abs(g.ifft(spec))) <= 1e-13
 
 
 def test_steady_shear_has_zero_tendencies():
@@ -39,8 +39,8 @@ def test_steady_shear_has_zero_tendencies():
     assert np.max(np.abs(dv)) / g.npoints <= 1e-14
     assert np.max(np.abs(dpu)) / g.npoints <= 1e-14
     assert dlmean == 0.0
-    for f in solver.rhs_extended(ext, QUANTUM):
-        assert np.max(np.abs(f.data)) <= 1e-14
+    for spec in solver.rhs_extended(ext, QUANTUM):
+        assert np.max(np.abs(g.ifft(spec))) <= 1e-14
 
 
 def test_density_tendency_mean_free():
@@ -55,8 +55,8 @@ def test_tendency_gradient_structure():
     g = FourierGrid(64, 2 * np.pi)
     ext = states.to_extended(small_state(g, 0.07, seed=2), QUANTUM)
     dl, dw, _ = solver.rhs_extended(ext, QUANTUM)
-    expected = grad_spec(g, dl.spectral[0])
-    assert np.max(np.abs(dw.spectral - expected)) <= 1e-10 * max(
+    expected = grad_spec(g, dl)
+    assert np.max(np.abs(dw - expected)) <= 1e-10 * max(
         np.max(np.abs(expected)), 1e-30)
 
 
@@ -68,9 +68,9 @@ def test_extended_matches_primitive_oracle():
     dl, dw, du = solver.rhs_extended(ext, QUANTUM, dealias=False)
     drho, du_prim = solver.rhs_primitive(s, QUANTUM, dealias=False)
     scale = np.max(np.abs(du_prim))
-    assert np.max(np.abs(du.data - du_prim)) <= 1e-10 * scale
+    assert np.max(np.abs(g.ifft(du) - du_prim)) <= 1e-10 * scale
     # dl = l'(rho) drho = drho / rho for the quantum law
-    assert np.max(np.abs(dl.values - drho / s.rho.values)) <= 1e-10 * scale
+    assert np.max(np.abs(g.ifft(dl) - drho / s.rho.values)) <= 1e-10 * scale
 
 
 @pytest.mark.parametrize("law", sorted(LAWS))
@@ -86,10 +86,10 @@ def test_extended_matches_primitive_oracle_with_vorticity(shape, tol, law):
     drho, du_prim = solver.rhs_primitive(s, laws, dealias=False)
     du_prim = du_prim - du_prim.mean(axis=tuple(range(1, du_prim.ndim)), keepdims=True)
     scale = np.max(np.abs(du_prim))
-    assert np.max(np.abs(du.data - du_prim)) <= tol * scale
+    assert np.max(np.abs(g.ifft(du) - du_prim)) <= tol * scale
     # dl = l'(rho) drho = sqrt(K/rho) drho
     dl_prim = np.sqrt(laws.K(s.rho.values) / s.rho.values) * drho
-    assert np.max(np.abs(dl.values - dl_prim)) <= tol * scale
+    assert np.max(np.abs(g.ifft(dl) - dl_prim)) <= tol * scale
 
 
 def test_nonlinearity_is_quadratic():
@@ -122,6 +122,37 @@ def test_tendencies_transform_counts(shape, inverse, forward, monkeypatch):
         monkeypatch.setattr(FourierGrid, name, counted)
     solver.nonlinear_tendencies(g, QUANTUM, *encoded)
     assert (calls["ifft"], calls["fft"]) == (inverse, forward)
+
+
+RESIDUAL_TRANSFORM_COUNTS = {"1d": ((64,), 8, 8), "2d": ((32, 32), 16, 11),
+                             "3d": ((16, 16, 16), 26, 14)}
+
+
+@pytest.mark.parametrize("shape, inverse, forward", RESIDUAL_TRANSFORM_COUNTS.values(),
+                         ids=RESIDUAL_TRANSFORM_COUNTS.keys())
+def test_normal_form_residual_transform_counts(shape, inverse, forward, monkeypatch):
+    # scalar transforms of one residual outside the bilinear quadrature,
+    # whose nodes each sample both operands (2 dim inverse transforms): the
+    # tendencies, Qu and Pu for the two products, and the residual itself
+    g = FourierGrid(shape, 2 * np.pi)
+    ext = states.to_extended(small_state(g, 0.05, 3, 0.0 if g.dim == 1 else 0.04), QUANTUM)
+    ext.u.spectral      # cached before counting, as encoding the state leaves it
+    calls = {"ifft": 0, "fft": 0, "nodes": 0}
+    for name in ("ifft", "fft"):
+        def counted(self, values, *args, _name=name, _transform=getattr(FourierGrid, name)):
+            calls[_name] += int(np.prod(np.shape(values)[:-self.dim]))
+            return _transform(self, values, *args)
+        monkeypatch.setattr(FourierGrid, name, counted)
+    nodes = spectral._heat_quadrature_nodes
+
+    def counted_nodes(n):
+        calls["nodes"] += n
+        return nodes(n)
+
+    monkeypatch.setattr(spectral, "_heat_quadrature_nodes", counted_nodes)
+    solver.normal_form_residual(ext, QUANTUM)
+    assert calls["nodes"] > 0
+    assert (calls["ifft"] - 2 * g.dim * calls["nodes"], calls["fft"]) == (inverse, forward)
 
 
 def test_half_wave_is_the_linear_flow_on_the_half_layout():
@@ -228,7 +259,8 @@ def test_mass_conserved_to_integrator_order():
 
 def test_simulate_constant_state():
     g = FourierGrid(32, 2 * np.pi)
-    s = states.EKState(Field.scalar(g, np.ones(g.shape)), Field.zeros(g, g.dim), 0.0)
+    s = states.EKState(Field.scalar(g, np.ones(g.shape)),
+                       Field.vector(g, np.zeros((g.dim,) + g.shape)), 0.0)
     traj = solver.simulate(s, solver.SolverConfig(dt=0.01, t_end=1.0), QUANTUM)
     assert traj.termination == "reached_t_end"
     for st in traj.states:
