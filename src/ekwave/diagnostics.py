@@ -8,7 +8,7 @@ the half spectrum of Pu with :func:`norm`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -105,17 +105,15 @@ def wrap_time(grid: FourierGrid, xi_c: float) -> float:
 
 
 def decay_fit(times: Sequence[float], values: Sequence[float],
-              window: Tuple[float, float], t_wrap: Optional[float] = None):
+              window: Tuple[float, float]):
     """Log-log least-squares slope of ``values`` against ``times``.
 
-    Samples outside ``window`` or beyond ``t_wrap`` are discarded; at
-    least six must survive.  Returns ``(slope, stderr)``.
+    Samples outside ``window`` are discarded; at least six must survive.
+    Returns ``(slope, stderr)``.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     lo, hi = window
-    if t_wrap is not None:
-        hi = min(hi, t_wrap)
     keep = (times >= lo) & (times <= hi) & (times > 0) & (values > 0)
     if int(np.sum(keep)) < 6:
         raise FitError("fewer than 6 usable samples in the fit window")

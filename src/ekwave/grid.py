@@ -247,19 +247,10 @@ class Field:
         return self._spectral
 
     # -- small conveniences --------------------------------------------
-    def __add__(self, other):
-        return Field(self.grid, self.data + other.data)
-
-    def __sub__(self, other):
-        return Field(self.grid, self.data - other.data)
-
     def __mul__(self, scalar):
         return Field(self.grid, self.data * scalar)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return Field(self.grid, -self.data)
 
     def l2norm(self):
         return float(np.sqrt(np.sum(np.abs(self.data) ** 2) * self.grid.cell_volume))

@@ -349,7 +349,7 @@ def _run_lifespan(cfg, report):
     laws = cfg.build_laws()
     scfg = cfg.build_solver()
     p = _params(cfg)
-    rows = solver.lifespan_experiment(
+    rows, steps = solver.lifespan_experiment(
         float(p["eps"]), list(p["deltas"]), grid, laws, scfg, cfg.seed, float(p["T_max"]),
         envelope_C=float(p["envelope_C"]),
         band_limit=float(cfg.initial_data.get("band_limit", 4.0)))
@@ -366,11 +366,14 @@ def _run_lifespan(cfg, report):
         slope = float(np.polyfit(np.log([r["delta"] for r in fit_rows]),
                                  np.log([r["T_obs"] for r in fit_rows]), 1)[0])
     report.fitted = {"scaling_exponent": slope,
-                     "uncensored_points": len(fit_rows)}
+                     "uncensored_points": len(fit_rows), "steps": steps}
+    # a delta run that took no step is no evidence for either verdict
+    stepped = min(steps) > 0
+    provenance = "measured" if stepped else "inconclusive"
     report.add_verdict("T_obs_non_increasing_in_delta", float(monotone), 1.0,
-                       0.0, monotone)
+                       0.0, stepped and monotone, provenance)
     report.add_verdict("delta_zero_censored", float(zero_censored), 1.0, 0.0,
-                       zero_censored)
+                       stepped and zero_censored, provenance)
 
 
 def _run_blowup(cfg, report):

@@ -16,6 +16,10 @@ complex-to-real.  The tendencies advect the whole velocity
 ``(u.grad)Pu + (Pu.grad)Qu + (Qu.grad)Qu``, whose last term is
 ``grad|Qu|^2/2`` because Qu is curl-free, and ``trace(grad u) = div Qu``
 because Pu is divergence-free with the same Nyquist-zeroed wavenumbers.
+The pressure is the paper's gradient ``-grad g(rho)``: since
+``drho/dl = rho/a``, its part beyond the linear ``-2w`` is
+``grad(2l - g(rho(l)))``, so every term of dQu but the advection is the
+gradient of one scalar potential.
 One loop, ``_drive``, steps every run:
 ``simulate`` and ``lifespan_experiment`` differ only in the monitor's
 sample stride, the states they keep and an optional extra stop rule; both
@@ -115,17 +119,20 @@ def nonlinear_tendencies(grid: FourierGrid, laws: ConstitutiveLaws,
     and P removes every gradient.  ``trace(grad u)`` is ``div Qu``:
     ``proj_p_spec`` zeroes ``xi . Pu`` with the Nyquist-zeroed wavenumbers
     that ``jacobian`` differentiates with, so ``div Pu`` is round-off.
+
+    The pressure enters as a gradient: since ``drho/dl = rho/a``,
+    ``(2 - g'(rho) rho/a) w = grad(2l - g(rho(l)))``, which with the linear
+    ``-2w`` is the ``-grad g(rho)`` of the momentum equation.  So dQu is
+    the gradient of one scalar minus ``Q(adv)``.
     """
     qu_spec, w_spec, l_spec = unpack(grid, v, lmean)
     u_spec = pu_spec + qu_spec
     u = grid.ifft(u_spec)
     w = grid.ifft(w_spec)
-    rho = laws.rho_of_l(grid.ifft(l_spec))
+    l = grid.ifft(l_spec)
+    rho = laws.rho_of_l(l)
     laws.check_density(rho, "tendency evaluation")
     a = laws.a(rho)
-    # pressure slope with respect to the potential variable:
-    # d g(rho(l)) / dl = g'(rho) drho/dl = g'(rho) rho / a(rho)
-    gp = laws.dg(rho) * rho / a
     grad_u = jacobian(grid, u_spec)
     divqu = np.trace(grad_u)
     u_dot_w = np.sum(u * w, axis=0)
@@ -136,15 +143,14 @@ def nonlinear_tendencies(grid: FourierGrid, laws: ConstitutiveLaws,
 
     adv_spec = _dealias_fft(grid, np.einsum("i...,ij...->j...", u, grad_u), dealias)
 
-    # the gradient terms grad((a - 1) div w + |w|^2/2) share one transform
+    # the gradient terms grad((a - 1) div w + |w|^2/2 + 2l - g(rho)) share
+    # one transform; the last is the pressure beyond the linear -2w
     divw = grid.ifft(div_spec(grid, w_spec))
     grad_terms = grad_spec(grid, _dealias_fft(
-        grid, (a - 1.0) * divw + 0.5 * np.sum(w * w, axis=0), dealias))
-    relax_spec = _dealias_fft(grid, (2.0 - gp) * w, dealias)
-
-    # Q is idempotent and the identity on gradients, so one projection of
-    # the sum does
-    dqu_nl = proj_q_spec(grid, -adv_spec + grad_terms + relax_spec)
+        grid, (a - 1.0) * divw + 0.5 * np.sum(w * w, axis=0) + 2.0 * l - laws.g(rho),
+        dealias))
+    # Q is the identity on gradients, so only the advection is projected
+    dqu_nl = grad_terms - proj_q_spec(grid, adv_spec)
     dv = np.stack([dqu_nl, grid.cut(symbol_u_inv(grid), dw_nl) * dw_nl])
     return dv, -proj_p_spec(grid, adv_spec), dlmean
 
@@ -336,7 +342,9 @@ def normal_form_residual(s: ExtendedState, laws: ConstitutiveLaws) -> Field:
 
         d/dt w1 + lap Qu - grad div((1-a) Qu) + grad(Pu . w)
 
-    of cubic order.  The time derivative of w1 is expanded through the
+    of cubic order.  Qu is curl-free, so ``lap Qu = grad div Qu`` and the
+    residual is ``d/dt w1 + grad(div(a Qu) + Pu . w)``: one scalar
+    potential.  The time derivative of w1 is expanded through the
     bilinearity of B using the full tendencies of the untransformed
     system.  Every term is a half spectrum; Qu and Pu are sampled only for
     the two products, and the residual is the one field built.
@@ -351,11 +359,10 @@ def normal_form_residual(s: ExtendedState, laws: ConstitutiveLaws) -> Field:
     dw1_spec = dw_spec - grad_spec(grid, 2.0 * b[0])
 
     a = laws.a(laws.rho_of_l(s.l.values))
-    lap_qu = -grid.cut(grid.k_squared, qu_spec) * qu_spec
-    graddiv = grad_spec(grid, div_spec(grid, grid.fft((1.0 - a)[None] * grid.ifft(qu_spec))))
     pu = grid.ifft(proj_p_spec(grid, s.u.spectral))
-    grad_puw = grad_spec(grid, grid.fft(np.sum(pu * s.w.data, axis=0)))
-    return Field.from_spectral(grid, dw1_spec + lap_qu - graddiv + grad_puw)
+    potential = (div_spec(grid, grid.fft(a * grid.ifft(qu_spec)))
+                 + grid.fft(np.sum(pu * s.w.data, axis=0)))
+    return Field.from_spectral(grid, dw1_spec + grad_spec(grid, potential))
 
 
 # ---------------------------------------------------------------------------
@@ -373,9 +380,9 @@ def lifespan_experiment(eps, delta_list, grid, laws, cfg, seed, T_max,
     steps.  Runs reaching ``T_max`` are censored.  Every delta reuses the
     same seed, so the sweep varies only the solenoidal amplitude.  Each
     row's initial state is checked against the stability bound, as in
-    :func:`simulate`.
+    :func:`simulate`.  Returns the rows and the steps each delta took.
     """
-    rows = []
+    rows, steps = [], []
     for delta in delta_list:
         ids = InitialDataSpec(amplitude=eps, solenoidal=float(delta),
                               band_limit=band_limit)
@@ -394,7 +401,8 @@ def lifespan_experiment(eps, delta_list, grid, laws, cfg, seed, T_max,
         rows.append({"delta": float(delta), "T_obs": T_obs, "censored": censored,
                      "reason": "censored" if censored else traj.termination,
                      "product": T_obs * float(delta)})
-    return rows
+        steps.append(traj.steps)
+    return rows, steps
 
 
 # ---------------------------------------------------------------------------

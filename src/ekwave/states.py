@@ -44,7 +44,6 @@ from .spectral import (
     symbol_u_inv,
 )
 
-GRADIENT_TOL = 1e-10
 # fixed-point inversion of the normal form: relative step tolerance and
 # iteration cap
 INVERSION_TOL = 1e-10
@@ -82,20 +81,6 @@ class ExtendedState:
     @property
     def grid(self):
         return self.l.grid
-
-    def gradient_residual(self):
-        """Relative size of w - grad l and of P w (both should be round-off)."""
-        grid = self.grid
-        gl = grad_spec(grid, self.l.spectral[0])
-        scale = max(float(np.max(np.abs(self.w.spectral))), 1e-300)
-        mismatch = float(np.max(np.abs(self.w.spectral - gl))) / scale
-        pw = float(np.max(np.abs(proj_p_spec(grid, self.w.spectral)))) / scale
-        return max(mismatch, pw)
-
-    def validate(self, tol=GRADIENT_TOL):
-        res = self.gradient_residual()
-        if res > tol:
-            raise ComponentError(f"w is not the gradient of l (residual {res:.3e})")
 
 
 @dataclass

@@ -24,8 +24,6 @@ TEST_ONLY = {
                      "without the codec, that rhs_extended is checked against",
     "bilinear_B_exact": "oracle: the double-sum bilinear form that bilinear_B's "
                         "quadrature is checked against",
-    "ExtendedState.validate": "kept for the run telemetry that will report the "
-                              "gradient residual",
 }
 
 

@@ -129,15 +129,6 @@ def test_decay_fit_needs_six_samples():
         diag.decay_fit(t, t**-0.5, window=(0.5, 10.0))
 
 
-def test_decay_fit_truncates_at_wrap_time():
-    # contaminate the tail; the wrap cutoff must discard it
-    t = np.linspace(2.0, 40.0, 40)
-    v = 3.0 * t**-1.0
-    v[t > 20.0] *= 5.0
-    slope, _ = diag.decay_fit(t, v, window=(1.0, 100.0), t_wrap=20.0)
-    assert abs(slope - (-1.0)) <= 1e-10
-
-
 # ---------------------------------------------------------------------------
 # resonance phase function
 # ---------------------------------------------------------------------------

@@ -286,6 +286,18 @@ def test_cli_zero_step_simulate_is_inconclusive(tmp_path, capsys):
     assert "(inconclusive)" in capsys.readouterr().out
 
 
+def test_cli_zero_step_lifespan_is_inconclusive(tmp_path, capsys):
+    # dt = 0: no delta run takes a step, so neither verdict has any evidence
+    assert cli.main(["lifespan", "--out", str(tmp_path), "--override", "grid.shape=[16,16]",
+                     "--override", "solver.dt=0", "--override", "params.T_max=1"]) == 1
+    report = json.loads((tmp_path / "lifespan_report.json").read_text())
+    assert report["fitted"]["steps"] == [0, 0, 0, 0]
+    assert not report["errors"]
+    for verdict in report["verdicts"]:
+        assert not verdict["passed"] and verdict["provenance"] == "inconclusive"
+    assert "(inconclusive)" in capsys.readouterr().out
+
+
 def test_cli_unresolved_normalform_is_inconclusive(tmp_path, capsys):
     # on 16^2 the products of band-4 data reach mode 8, past the 2/3 cutoff
     # at 5, so the slope is no evidence for or against the cubic order

@@ -50,14 +50,22 @@ def test_density_tendency_mean_free():
     assert abs(np.mean(drho)) <= 1e-14 * max(np.max(np.abs(drho)), 1.0)
 
 
-def test_tendency_gradient_structure():
-    # dw = grad(dl) spectrally at every evaluation
-    g = FourierGrid(64, 2 * np.pi)
-    ext = states.to_extended(small_state(g, 0.07, seed=2), QUANTUM)
-    dl, dw, _ = solver.rhs_extended(ext, QUANTUM)
-    expected = grad_spec(g, dl)
-    assert np.max(np.abs(dw - expected)) <= 1e-10 * max(
-        np.max(np.abs(expected)), 1e-30)
+def test_pressure_is_a_gradient():
+    # the identity behind the gradient form of the pressure: drho/dl = rho/a,
+    # so (2 - g'(rho) rho/a) w = grad(2l - g(rho)) with w = grad l.  No
+    # dealiasing; the data are band-limited far inside both grids.
+    for shape in ((64,), (32, 32)):
+        g = FourierGrid(shape, 2 * np.pi)
+        for name, laws in sorted(LAWS.items()):
+            s = generate_initial_data(InitialDataSpec(amplitude=0.05, band_limit=2.0),
+                                      g, laws, 5)
+            ext = states.to_extended(s, laws)
+            rho = s.rho.values
+            product = (2.0 - laws.dg(rho) * rho / laws.a(rho)) * ext.w.data
+            potential = 2.0 * ext.l.values - laws.g(rho)
+            gradient = g.ifft(grad_spec(g, g.fft(potential)))
+            err = np.max(np.abs(gradient - product)) / np.max(np.abs(product))
+            assert err <= 1e-10, (shape, name, err)
 
 
 def test_extended_matches_primitive_oracle():
@@ -104,14 +112,16 @@ def test_nonlinearity_is_quadratic():
     assert 0.8 * 2.0 <= ratios[0] / ratios[1] <= 1.2 * 2.0
 
 
-TRANSFORM_COUNTS = {"1d": ((64,), 5, 4), "2d": ((32, 32), 10, 6), "3d": ((16, 16, 16), 17, 8)}
+TRANSFORM_COUNTS = {"1d": ((64,), 5, 3), "2d": ((32, 32), 10, 4), "3d": ((16, 16, 16), 17, 5)}
 
 
 @pytest.mark.parametrize("shape, inverse, forward", TRANSFORM_COUNTS.values(),
                          ids=TRANSFORM_COUNTS.keys())
 def test_tendencies_transform_counts(shape, inverse, forward, monkeypatch):
     # scalar transforms per evaluation: the velocity is sampled once and
-    # differentiated once, in d + d + 1 + d^2 + 1 inverse transforms
+    # differentiated once, in d + d + 1 + d^2 + 1 inverse transforms; the
+    # forward ones are dl, the advection and one scalar for every gradient
+    # term of dQu, pressure included: 1 + d + 1
     g = FourierGrid(shape, 2 * np.pi)
     encoded = solver.encode(states.to_extended(small_state(g, 0.05, seed=3), QUANTUM))
     calls = {"ifft": 0, "fft": 0}
@@ -124,8 +134,8 @@ def test_tendencies_transform_counts(shape, inverse, forward, monkeypatch):
     assert (calls["ifft"], calls["fft"]) == (inverse, forward)
 
 
-RESIDUAL_TRANSFORM_COUNTS = {"1d": ((64,), 8, 8), "2d": ((32, 32), 16, 11),
-                             "3d": ((16, 16, 16), 26, 14)}
+RESIDUAL_TRANSFORM_COUNTS = {"1d": ((64,), 8, 7), "2d": ((32, 32), 16, 9),
+                             "3d": ((16, 16, 16), 26, 11)}
 
 
 @pytest.mark.parametrize("shape, inverse, forward", RESIDUAL_TRANSFORM_COUNTS.values(),
@@ -303,9 +313,10 @@ def test_vacuum_termination_from_backward_blowup_state():
 def test_lifespan_experiment_table_shape():
     g = FourierGrid((32, 32), (2 * np.pi, 2 * np.pi))
     cfg = solver.SolverConfig(dt=0.02, t_end=1.0)
-    rows = solver.lifespan_experiment(0.05, [0.04, 0.0], g, QUANTUM, cfg,
-                                      seed=3, T_max=1.0)
+    rows, steps = solver.lifespan_experiment(0.05, [0.04, 0.0], g, QUANTUM, cfg,
+                                             seed=3, T_max=1.0)
     assert [r["delta"] for r in rows] == [0.04, 0.0]
+    assert steps[1] == 50
     for r in rows:
         assert set(r) >= {"delta", "T_obs", "censored", "product"}
     assert rows[1]["censored"]          # delta = 0 never fires the envelope
@@ -334,8 +345,9 @@ def test_lifespan_experiment_envelope_rule():
     # an envelope below the initial transport norm fires at the first sample
     g = FourierGrid((32, 32), (2 * np.pi, 2 * np.pi))
     cfg = solver.SolverConfig(dt=0.02, t_end=1.0)
-    rows = solver.lifespan_experiment(0.05, [0.04], g, QUANTUM, cfg, seed=3, T_max=1.0,
-                                      envelope_C=0.5)
+    rows, steps = solver.lifespan_experiment(0.05, [0.04], g, QUANTUM, cfg, seed=3,
+                                             T_max=1.0, envelope_C=0.5)
+    assert steps == [5]
     assert rows[0]["reason"] == "envelope"
     assert not rows[0]["censored"]
     assert rows[0]["T_obs"] == pytest.approx(5 * 0.02)
