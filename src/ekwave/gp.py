@@ -23,16 +23,15 @@ import numpy as np
 from .errors import ComponentError, StabilityError, VacuumError
 from .grid import Field, FourierGrid
 from .laws import ConstitutiveLaws
-from .spectral import div_spec, grad_spec, jacobian
+from .spectral import grad_spec, jacobian
 from .states import EKState
 
 VACUUM_THRESHOLD = 1e-6
 # the vacuum-formation run: finite-difference step of the density's time
-# derivatives, the density below which the fluid velocity is not
-# evaluated, and the tracked particle's start offset from the zero
+# derivatives, and the density below which the fluid velocity is not
+# evaluated
 DT_FD = 1e-3
 ADMISSIBLE_FLOOR = 1e-3
-TRACK_OFFSET = 1.0
 
 
 @dataclass
@@ -125,7 +124,6 @@ class BlowupReport:
     vacuum_time: float = float("nan")
     grad_u_history: List[float] = dataclass_field(default_factory=list)
     grad_u_times: List[float] = dataclass_field(default_factory=list)
-    characteristic_residual: float = float("nan")
 
 
 def gaussian_notch(grid: FourierGrid, width: float = 1.0) -> WaveFunction:
@@ -139,16 +137,6 @@ def gaussian_notch(grid: FourierGrid, width: float = 1.0) -> WaveFunction:
 
 def _center_index(grid):
     return tuple(n // 2 for n in grid.shape)
-
-
-def _fourier_eval(grid, spec_scalar, x):
-    """Evaluate a real one-dimensional band-limited field, given its half
-    spectrum, at an arbitrary point."""
-    k = grid.cut(grid.wavenumbers[0], spec_scalar)
-    # the modes 1 .. N/2 - 1 stand for themselves and their conjugates
-    weight = np.full(k.shape, 2.0)
-    weight[0] = weight[-1] = 1.0
-    return float(np.sum(weight * np.real(spec_scalar * np.exp(1j * k * x))) / grid.npoints)
 
 
 def _second_derivative_density(w0, dt, laws):
@@ -176,8 +164,7 @@ def blowup_experiment(w0: WaveFunction, laws: ConstitutiveLaws, *,
     t = 0 for real data); (ii) fit the quadratic growth of the density at
     the zero; (iii) run forward, conjugate and run forward again until the
     density re-forms a vacuum; (iv) along the backward (conjugated) run,
-    track max|grad u| and the characteristic identity
-    rho(t, X(t)) = rho0(X(0)) exp(-int div u).
+    record max|grad u|.
     """
     if not dt > 0:
         raise StabilityError(f"dt must be positive, got {dt!r}")
@@ -235,50 +222,16 @@ def blowup_experiment(w0: WaveFunction, laws: ConstitutiveLaws, *,
     back = WaveFunction(Field.scalar(grid, np.conj(w.psi.values)), 0.0)
 
     # (iv) backward run with monitoring
-    x0 = (grid.lengths[0] / 2.0 + TRACK_OFFSET) % grid.lengths[0] if grid.dim == 1 else None
-    x_track = x0
-    div_integral = 0.0
-    rho0_at_x0 = None
-    prev_u = prev_div = None
-    track_active = grid.dim == 1
-    last_rho_at_x = float("nan")
-    for i in range(2 * nsteps):
-        rho_now = np.abs(back.psi.values) ** 2
-        min_rho = float(np.min(rho_now))
+    for _ in range(2 * nsteps):
+        min_rho = float(np.min(back.density()))
         if min_rho <= VACUUM_THRESHOLD:
             report.vacuum_time = back.time
             break
         if min_rho > ADMISSIBLE_FLOOR:
-            try:
-                state = fluid_state(back, threshold=ADMISSIBLE_FLOOR * 0.5)
-            except VacuumError:
-                state = None
-            if state is not None:
-                gmax = float(np.max(np.abs(jacobian(grid, state.u.spectral))))
-                report.grad_u_history.append(gmax)
-                report.grad_u_times.append(back.time)
-                if track_active:
-                    u_spec = state.u.spectral[0]
-                    div_spec_arr = div_spec(grid, state.u.spectral)
-                    u_here = _fourier_eval(grid, u_spec, x_track)
-                    div_here = _fourier_eval(grid, div_spec_arr, x_track)
-                    if rho0_at_x0 is None:
-                        rho0_at_x0 = _fourier_eval(grid, grid.fft(rho_now), x_track)
-                    if prev_u is not None:
-                        # Heun update of the particle path and trapezoid
-                        # accumulation of the divergence along it
-                        x_pred = x_track + dt * prev_u
-                        u_pred = _fourier_eval(grid, u_spec, x_pred)
-                        x_track = (x_track + 0.5 * dt * (prev_u + u_pred)) % grid.lengths[0]
-                        div_new = _fourier_eval(grid, div_spec_arr, x_track)
-                        div_integral += 0.5 * dt * (prev_div + div_new)
-                        div_here = div_new
-                        u_here = _fourier_eval(grid, u_spec, x_track)
-                    prev_u, prev_div = u_here, div_here
-                    last_rho_at_x = _fourier_eval(grid, grid.fft(rho_now), x_track)
+            # min_rho exceeds the threshold passed here, so no VacuumError
+            state = fluid_state(back, threshold=ADMISSIBLE_FLOOR * 0.5)
+            gmax = float(np.max(np.abs(jacobian(grid, state.u.spectral))))
+            report.grad_u_history.append(gmax)
+            report.grad_u_times.append(back.time)
         back = gp_step(back, dt, laws)
-
-    if track_active and rho0_at_x0 is not None and np.isfinite(last_rho_at_x):
-        expected = rho0_at_x0 * np.exp(-div_integral)
-        report.characteristic_residual = abs(last_rho_at_x - expected) / abs(rho0_at_x0)
     return report

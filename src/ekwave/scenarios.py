@@ -391,7 +391,6 @@ def _run_blowup(cfg, report):
         "alpha": rep.alpha,
         "vacuum_time": rep.vacuum_time,
         "forward_time": rep.forward_time,
-        "characteristic_residual": rep.characteristic_residual,
     }
     rel = abs(rep.second_derivative - rep.predicted) / rep.predicted
     report.add_verdict("second_derivative_match", rel, 0.0, 0.02, rel <= 0.02)

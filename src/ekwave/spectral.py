@@ -17,7 +17,9 @@ One layout rule holds throughout (:mod:`ekwave.grid`): a real field's
 spectrum is its half spectrum, a complex field's its full spectrum.  The
 operators on spectra take either layout and slice the per-grid arrays to it
 with ``grid.cut``; :func:`bilinear_B` takes the half spectra of two real
-operands and returns the half spectrum of their pseudo-product.
+operands and returns the half spectrum of their pseudo-product.  A square
+B[f, f] is asked for by passing the same array twice, and costs one inverse
+transform per quadrature node where B[f, g] costs two.
 """
 
 from __future__ import annotations
@@ -170,6 +172,10 @@ def bilinear_B(grid: FourierGrid, fspec, gspec, strength: float):
     on ``(0, 1)``, doubling the node count until two successive results
     agree to ``BILINEAR_TOL`` (relative, L^2).  Vector inputs contract to the dot
     product; scalar inputs give the scalar pseudo-product.
+
+    Passing the same array as both operands (``gspec is fspec``) asks for
+    the square B[f, f]: the operand is then heat-filtered and sampled once
+    per node, with the same bits as two equal copies would give.
     """
     if fspec.shape != gspec.shape:
         raise ComponentError("bilinear_B operands must have equal shapes")
@@ -181,7 +187,9 @@ def bilinear_B(grid: FourierGrid, fspec, gspec, strength: float):
     # collapses to the linear multiplier strength/(2(2+|zeta|^2)), and the
     # heat-kernel integrand of the remaining mean-free part vanishes fast
     # enough at the endpoint for the node-doubling quadrature to converge.
-    fspec, gspec = fspec.copy(), gspec.copy()
+    square = gspec is fspec
+    fspec = fspec.copy()
+    gspec = fspec if square else gspec.copy()
     k2 = grid.cut(grid.k_squared, fspec)
     fbar = fspec[(Ellipsis,) + zero] / grid.npoints
     gbar = gspec[(Ellipsis,) + zero] / grid.npoints
@@ -198,7 +206,7 @@ def bilinear_B(grid: FourierGrid, fspec, gspec, strength: float):
         for si, wi in zip(s, wts):
             heat = np.exp(-si * k2)
             fs = grid.ifft(fspec * heat)
-            gs = grid.ifft(gspec * heat)
+            gs = fs if square else grid.ifft(gspec * heat)
             acc += wi * np.sum(fs * gs, axis=0)
         return (1.0 / 4.0) * acc
 

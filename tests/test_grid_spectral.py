@@ -331,3 +331,28 @@ def test_bilinear_2d_vectors_match_exact():
     exact = bilinear_B_exact(f, h, -1.0)
     scale = np.max(np.abs(exact.values))
     assert np.max(np.abs(quad[0] - exact.values)) <= 1e-6 * scale
+
+
+@pytest.mark.parametrize("shape", [(16,), (16, 16)], ids=["1d", "2d"])
+def test_bilinear_square_matches_exact(shape):
+    # the same array twice takes the square path, one sample per node
+    g = FourierGrid(shape, 2 * np.pi)
+    f = random_scalar(g, 13) if g.dim == 1 else random_vector(g, 43)
+    fs = f.spectral
+    quad = g.ifft(bilinear_B(g, fs, fs, -1.0))
+    exact = bilinear_B_exact(f, f, -1.0)
+    scale = np.max(np.abs(exact.values))
+    assert np.max(np.abs(quad[0] - exact.values)) <= 1e-6 * scale
+
+
+SQUARE_CASES = {"1d": ((64,), -1.0), "2d": ((32, 32), -1.0), "3d": ((16, 16, 16), -1.0),
+                "strength": ((64,), -0.3)}
+
+
+@pytest.mark.parametrize("shape, strength", SQUARE_CASES.values(), ids=SQUARE_CASES.keys())
+def test_bilinear_square_is_the_general_path(shape, strength):
+    # B[f, f] asked for by identity gives the bits of B[f, f] from two copies
+    g = FourierGrid(shape, 2 * np.pi)
+    f = random_scalar(g, 51) if g.dim == 1 else random_vector(g, 52)
+    fs = f.spectral
+    assert np.array_equal(bilinear_B(g, fs, fs, strength), bilinear_B(g, fs, fs.copy(), strength))

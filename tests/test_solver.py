@@ -112,6 +112,25 @@ def test_nonlinearity_is_quadratic():
     assert 0.8 * 2.0 <= ratios[0] / ratios[1] <= 1.2 * 2.0
 
 
+def count_transforms(monkeypatch):
+    """Scalar inverse and forward transforms and bilinear quadrature nodes
+    counted from here on; a vector transform counts once per component."""
+    calls = {"ifft": 0, "fft": 0, "nodes": 0}
+    for name in ("ifft", "fft"):
+        def counted(self, values, *args, _name=name, _transform=getattr(FourierGrid, name)):
+            calls[_name] += int(np.prod(np.shape(values)[:-self.dim]))
+            return _transform(self, values, *args)
+        monkeypatch.setattr(FourierGrid, name, counted)
+    nodes = spectral._heat_quadrature_nodes
+
+    def counted_nodes(n):
+        calls["nodes"] += n
+        return nodes(n)
+
+    monkeypatch.setattr(spectral, "_heat_quadrature_nodes", counted_nodes)
+    return calls
+
+
 TRANSFORM_COUNTS = {"1d": ((64,), 5, 3), "2d": ((32, 32), 10, 4), "3d": ((16, 16, 16), 17, 5)}
 
 
@@ -124,12 +143,7 @@ def test_tendencies_transform_counts(shape, inverse, forward, monkeypatch):
     # term of dQu, pressure included: 1 + d + 1
     g = FourierGrid(shape, 2 * np.pi)
     encoded = solver.encode(states.to_extended(small_state(g, 0.05, seed=3), QUANTUM))
-    calls = {"ifft": 0, "fft": 0}
-    for name in calls:
-        def counted(self, values, *args, _name=name, _transform=getattr(FourierGrid, name)):
-            calls[_name] += int(np.prod(np.shape(values)[:-self.dim]))
-            return _transform(self, values, *args)
-        monkeypatch.setattr(FourierGrid, name, counted)
+    calls = count_transforms(monkeypatch)
     solver.nonlinear_tendencies(g, QUANTUM, *encoded)
     assert (calls["ifft"], calls["fft"]) == (inverse, forward)
 
@@ -147,22 +161,27 @@ def test_normal_form_residual_transform_counts(shape, inverse, forward, monkeypa
     g = FourierGrid(shape, 2 * np.pi)
     ext = states.to_extended(small_state(g, 0.05, 3, 0.0 if g.dim == 1 else 0.04), QUANTUM)
     ext.u.spectral      # cached before counting, as encoding the state leaves it
-    calls = {"ifft": 0, "fft": 0, "nodes": 0}
-    for name in ("ifft", "fft"):
-        def counted(self, values, *args, _name=name, _transform=getattr(FourierGrid, name)):
-            calls[_name] += int(np.prod(np.shape(values)[:-self.dim]))
-            return _transform(self, values, *args)
-        monkeypatch.setattr(FourierGrid, name, counted)
-    nodes = spectral._heat_quadrature_nodes
-
-    def counted_nodes(n):
-        calls["nodes"] += n
-        return nodes(n)
-
-    monkeypatch.setattr(spectral, "_heat_quadrature_nodes", counted_nodes)
+    calls = count_transforms(monkeypatch)
     solver.normal_form_residual(ext, QUANTUM)
     assert calls["nodes"] > 0
     assert (calls["ifft"] - 2 * g.dim * calls["nodes"], calls["fft"]) == (inverse, forward)
+
+
+NORMAL_FORM_SHAPES = {"1d": (64,), "2d": (32, 32), "3d": (16, 16, 16)}
+
+
+@pytest.mark.parametrize("shape", NORMAL_FORM_SHAPES.values(), ids=NORMAL_FORM_SHAPES.keys())
+def test_normal_form_transform_counts(shape, monkeypatch):
+    # one normal form is two squares, B[w, w] and B[Qu, Qu]: each node
+    # samples its one operand (dim inverse transforms), nothing else is
+    # inverse-transformed, and the forward transforms are the two products
+    g = FourierGrid(shape, 2 * np.pi)
+    ext = states.to_extended(small_state(g, 0.05, 3, 0.0 if g.dim == 1 else 0.04), QUANTUM)
+    ext.u.spectral      # cached before counting, as encoding the state leaves it
+    calls = count_transforms(monkeypatch)
+    states.normal_form(ext, QUANTUM)
+    assert calls["nodes"] > 0
+    assert (calls["ifft"] - g.dim * calls["nodes"], calls["fft"]) == (0, 2)
 
 
 def test_half_wave_is_the_linear_flow_on_the_half_layout():
